@@ -6,7 +6,8 @@ as {"schema_version", "command", "params", "results"}, CSV with a leading
 to stderr so the payload stays byte-identical across runs.
 
 Exit codes: 0 success, 1 usage or domain errors, 2 failed verification
-checks (residual or tolerance exceeded).
+checks (residual or tolerance exceeded, or a kernel series whose tail
+bound cannot meet its tolerance; no report is written then).
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from .domain import (
     sampling_acceptance,
 )
 from .kernels import THIN_VARIANT_DEFAULT, kernel
-from .oracle import inner_product_mc, kernel_series, parse_function, reproducing_check
+from .oracle import (
+    NonconvergentTruncation,
+    inner_product_mc,
+    kernel_series,
+    parse_function,
+    reproducing_check,
+)
 from .polynomials import verify_coefficient_identities
 from .transforms import MapKind, ProperMap, biholo_residual, bell_residual
 
@@ -490,6 +497,10 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, OverflowError) as exc:
         print(f"hartogs-bergman {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    except NonconvergentTruncation as exc:
+        # A series that cannot certify its tail is a failed check, not a crash.
+        print(f"hartogs-bergman {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     _emit(payload, args)
     elapsed = time.perf_counter() - start
     print(f"wall_time_s={elapsed:.3f} version={__version__}", file=sys.stderr)

@@ -371,7 +371,10 @@ def reproducing_residuals_batch(
             num, den = kernel_num_den(spec, s, t, thin_variant)
             ok = np.abs(den) >= NEAR_SINGULAR_THRESHOLD
             bad = int(m - ok.sum())
-            kvals = np.where(ok, num, 0.0) / np.where(ok, den, 1.0)
+            if bad:
+                kvals = np.where(ok, num, 0.0) / np.where(ok, den, 1.0)
+            else:
+                kvals = num / den
             for i in range(len(fs)):
                 acc[i][j] += complex(np.sum(kvals * fvals[i]))
                 excluded[i][j] += bad

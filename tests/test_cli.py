@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hartogs_bergman import cli
 from hartogs_bergman.cli import main
+from hartogs_bergman.oracle import NonconvergentTruncation
 
 
 def run(capsys, *argv):
@@ -82,6 +84,21 @@ class TestChecks:
         )
         assert code == 0
         assert doc["results"]["max_rel_dev"] <= 1e-6
+
+    def test_series_compare_nonconvergent_exits_two(self, capsys, monkeypatch, tmp_path):
+        def no_tail(*args, **kwargs):
+            raise NonconvergentTruncation("tail bound 1e-3 still above tolerance")
+
+        monkeypatch.setattr(cli, "kernel_series", no_tail)
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "--out", str(report), "series-compare", "--spec", "thin:2", "--pairs", "3",
+            "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hartogs-bergman series-compare: error: tail bound")
+        assert not report.exists()
 
     def test_lqk_witnesses(self, capsys):
         code, doc, _ = run_json(capsys, "lqk", "--kmax", "10")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import dblquad
 
 from hartogs_bergman import (
     DomainError,
+    DomainKind,
     DomainSpec,
     PathKind,
     Point2C,
@@ -17,7 +19,12 @@ from hartogs_bergman import (
     sample_uniform,
     sampling_acceptance,
 )
-from hartogs_bergman.domain import _volume, sample_uniform_arrays
+from hartogs_bergman.domain import (
+    BOUNDARY_MARGIN,
+    _inside_mask,
+    _volume,
+    sample_uniform_arrays,
+)
 
 TRIANGLES = [
     DomainSpec.classical(),
@@ -26,6 +33,8 @@ TRIANGLES = [
     DomainSpec.thin(2),
     DomainSpec.thin(3),
 ]
+
+EVERY_KIND = TRIANGLES + [DomainSpec.bidisc(), DomainSpec.punctured_bidisc()]
 
 
 def brute_force_distance(spec, p, n=400_001):
@@ -70,6 +79,63 @@ class TestMembership:
         q = Point2C(r1 * complex(math.cos(th1), math.sin(th1)),
                     r2 * complex(math.cos(th2), math.sin(th2)))
         assert contains(spec, p) == contains(spec, q)
+
+
+def _rotated(r1, r2, rng, rotate):
+    """Complex points with moduli about (r1, r2): exact on the real axis,
+    within a couple of ulps after a random rotation."""
+    if not rotate:
+        return r1.astype(complex), r2.astype(complex)
+    th1, th2 = rng.uniform(0.0, 2.0 * math.pi, (2, r1.size))
+    return r1 * np.exp(1j * th1), r2 * np.exp(1j * th2)
+
+
+def _ulp_jitter(x, rng, ulps=4):
+    return x + rng.integers(-ulps, ulps + 1, x.size) * np.spacing(x)
+
+
+def _near_margin_moduli(spec, rng, n=2000):
+    """Modulus pairs within a few ulps of each face's margin band."""
+    m = BOUNDARY_MARGIN
+    faces = {"top": (rng.uniform(0.0, 0.3, n), _ulp_jitter(np.full(n, 1.0 - m), rng))}
+    if spec.is_triangle:
+        r2 = rng.uniform(0.05, 0.95, n)
+        r1 = (r2 - m) ** (1.0 / float(spec.gamma))  # r2 - r1^gamma = margin
+        faces["curve"] = (_ulp_jitter(r1, rng), r2)
+    else:
+        faces["side"] = (_ulp_jitter(np.full(n, 1.0 - m), rng), rng.uniform(0.1, 0.9, n))
+    if spec.kind is DomainKind.PUNCTURED_BIDISC:
+        faces["puncture"] = (rng.uniform(0.0, 0.9, n), _ulp_jitter(np.full(n, m), rng))
+    return faces
+
+
+class TestMembershipPredicate:
+    """contains and _inside_mask share one predicate and must agree exactly."""
+
+    def test_covers_every_kind(self):
+        assert {spec.kind for spec in EVERY_KIND} == set(DomainKind)
+
+    @staticmethod
+    def assert_agree(spec, z1, z2):
+        scalar = [contains(spec, Point2C(a, b)) for a, b in zip(z1.tolist(), z2.tolist())]
+        assert scalar == _inside_mask(spec, z1, z2).tolist()
+        return np.array(scalar)
+
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=str)
+    def test_agree_on_random_points(self, spec):
+        rng = np.random.default_rng(31)
+        r1, r2 = rng.uniform(0.0, 1.1, (2, 4000))
+        verdicts = self.assert_agree(spec, *_rotated(r1, r2, rng, rotate=True))
+        assert 0 < verdicts.sum() < verdicts.size
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["real-axis", "rotated"])
+    @pytest.mark.parametrize("spec", EVERY_KIND, ids=str)
+    def test_agree_within_ulps_of_margin(self, spec, rotate):
+        rng = np.random.default_rng(32)
+        for face, (r1, r2) in _near_margin_moduli(spec, rng).items():
+            verdicts = self.assert_agree(spec, *_rotated(r1, r2, rng, rotate))
+            # The jitter straddles the margin, so both verdicts occur.
+            assert 0 < verdicts.sum() < verdicts.size, face
 
 
 class TestSpecParsing:
@@ -135,6 +201,34 @@ class TestBoundaryDistance:
             boundary_distance(DomainSpec.bidisc(), Point2C(0.1, 0.1))
 
 
+# sha256 of z1.tobytes() + z2.tobytes() for sample_uniform_arrays(spec, n,
+# seed=20240).  The sampled stream for a fixed (spec, n, seed) is a contract:
+# Monte Carlo verdicts and report bytes depend on it.  The inputs are
+# numpy's PCG64 Generator.random stream and the platform's complex exp
+# (recorded with numpy 2.4 on x86-64 glibc), so a numpy or libm upgrade may
+# change these; a sampler refactor must not.
+GOLDEN_STREAMS = {
+    ("fat:2", 1): "c2bbcb89dd3bc37c87111aa47ecd0628d054f02d2064254d9c80d24d5c346ba0",
+    ("fat:2", 1000): "5b7768ec20254c1cf923fb8b0b0fdb65ffaa1a95cb85ccd16f651bf653ea78e9",
+    ("fat:2", 200_000): "9a8888e8c1586d194547f1f38ab1a83c533c1479f5eb9c58743896bed805255f",
+    ("fat:3", 1): "c2bbcb89dd3bc37c87111aa47ecd0628d054f02d2064254d9c80d24d5c346ba0",
+    ("fat:3", 1000): "72db7eb328ad19fb38af8779d880949ce39cc3ed7db6e6b4fc45ea2de5c24a2e",
+    ("fat:3", 200_000): "7e25a4a25b14e320e0b985ec7ee5b799e55c1a2496597512e836f9ebe221dc5b",
+    ("thin:3", 1): "45f0cd585ca68b27f0dd86c556f4c5b405b26abe7aa00099ef782ce43a58fe7a",
+    ("thin:3", 1000): "565d8616c1a8c156ec5c0eac61631aa579163bc7064a6be0606cb35510ebefbd",
+    ("thin:3", 200_000): "5a07ee8c2311af45295a912c35c4891e167e49d58a97cb8a08f6bcc5e67e7d75",
+    ("classical", 1): "c2bbcb89dd3bc37c87111aa47ecd0628d054f02d2064254d9c80d24d5c346ba0",
+    ("classical", 1000): "bdc6a89e72f4e3d5c4042b6d9497dcf6d13842e98d756b94a6ab74cba18b5e45",
+    ("classical", 200_000): "77bab8093375c35a69dfbfa745e09daa0d427b06dc2c6ab66325ba0b459a31de",
+    ("bidisc", 1): "c2bbcb89dd3bc37c87111aa47ecd0628d054f02d2064254d9c80d24d5c346ba0",
+    ("bidisc", 1000): "1062c72f8173b991e8524554f47ba7f976403bee68285dfc03faf560347beaf5",
+    ("bidisc", 200_000): "71eff675df18a484c48ba05b0a171bb20f4159512bcb4cec6fc7af0fe0201397",
+    ("punctured-bidisc", 1): "c2bbcb89dd3bc37c87111aa47ecd0628d054f02d2064254d9c80d24d5c346ba0",
+    ("punctured-bidisc", 1000): "1062c72f8173b991e8524554f47ba7f976403bee68285dfc03faf560347beaf5",
+    ("punctured-bidisc", 200_000): "71eff675df18a484c48ba05b0a171bb20f4159512bcb4cec6fc7af0fe0201397",
+}
+
+
 class TestSampling:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
@@ -146,6 +240,17 @@ class TestSampling:
         pts2 = sample_uniform(spec, 256, seed=5)
         assert pts1 == pts2
         assert all(contains(spec, p) for p in pts1)
+
+    @pytest.mark.parametrize("text, n", sorted(GOLDEN_STREAMS), ids=str)
+    def test_golden_stream(self, text, n):
+        # n = 1 and 1000 fill from one 4096-proposal round; 200_000 needs
+        # several rounds on the thinner domains.
+        spec = DomainSpec.parse(text)
+        z1, z2 = sample_uniform_arrays(spec, n, seed=20240)
+        assert z1.shape == z2.shape == (n,)
+        assert _inside_mask(spec, z1, z2).all()
+        digest = hashlib.sha256(z1.tobytes() + z2.tobytes()).hexdigest()
+        assert digest == GOLDEN_STREAMS[(text, n)]
 
     def test_acceptance_ratio_classical(self):
         # vol(H_1) = pi^2 / 2, so half of bidisc proposals land inside.

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
@@ -9,7 +10,9 @@ from hartogs_bergman import (
     bergman_fat,
     bergman_thin,
 )
-from hartogs_bergman.domain import sample_uniform_arrays
+from hartogs_bergman import oracle
+from hartogs_bergman.domain import _volume, sample_uniform_arrays
+from hartogs_bergman.kernels import kernel_num_den
 from hartogs_bergman.oracle import (
     Monomial,
     NonconvergentTruncation,
@@ -256,3 +259,17 @@ class TestReproducing:
             reproducing_check(
                 DomainSpec.classical(), Monomial(0, -2), Point2C(0.1, 0.5), 10_000, seed=1
             )
+
+    def test_near_singular_samples_are_excluded(self, monkeypatch):
+        # A threshold at the median |den| flags half of one stream; exactly
+        # those samples must drop out of the average.
+        spec, z, n, seed = DomainSpec.fat(2), Point2C(0.1, 0.5), 10_000, 35
+        w1, w2 = sample_uniform_arrays(spec, n, seed)
+        num, den = kernel_num_den(spec, z.z1 * np.conj(w1), z.z2 * np.conj(w2))
+        threshold = float(np.median(np.abs(den)))
+        ok = np.abs(den) >= threshold
+        monkeypatch.setattr(oracle, "NEAR_SINGULAR_THRESHOLD", threshold)
+        rep = reproducing_check(spec, Monomial(0, 0), z, n, seed)
+        assert rep.excluded == n - ok.sum() > 0
+        expected = _volume(spec) * np.sum(num[ok] / den[ok]) / ok.sum()
+        assert rep.estimate == pytest.approx(expected, rel=1e-12)
