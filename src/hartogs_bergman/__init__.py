@@ -60,6 +60,7 @@ from .oracle import (
     SeriesTruncation,
     basis_norms,
     inner_product_mc,
+    inner_products_mc,
     kernel_series,
     parse_function,
     reproducing_check,

@@ -14,12 +14,18 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .analysis import diagonal_ratio, lqk_witness, ramadanov_table, thin_nonvanishing
+from .analysis import (
+    RAMADANOV_POINTS,
+    diagonal_ratio,
+    lqk_witness,
+    ramadanov_table,
+    thin_nonvanishing,
+)
 from .domain import DomainSpec, PathKind, Point2C, boundary_paths, _fill_uniform
 from .kernels import bergman_reference, bergman_thin, kernel
 from .oracle import (
     Monomial,
-    inner_product_mc,
+    inner_products_mc,
     is_admissible,
     kernel_series,
     monomial_norm_sq,
@@ -244,35 +250,39 @@ def criterion_8_basis_norms() -> CriterionResult:
     )
     n = 200_000
     norm_fails = cross_fails = 0
-    worst_norm_sigma = worst_cross_sigma = 0.0
+    # (sigma, where) of the worst deviation, so a failure names its inputs.
+    worst_norm = worst_cross = (0.0, "none")
     for si, spec in enumerate(specs):
         monomials = _variance_safe_monomials(spec, 10)
-        for mi, m in enumerate(monomials):
-            est = inner_product_mc(spec, m, m, n, seed=7000 + 100 * si + mi)
-            norm = monomial_norm_sq(spec, m.a, m.b)
-            diff = abs(est.value - norm)
-            # The constant monomial integrates exactly (zero variance), so
-            # the 3-sigma band widens by floating-point roundoff alone.
-            ok = diff <= 3.0 * est.std_error + 16.0 * np.finfo(float).eps * norm
-            sigma = diff / est.std_error if est.std_error > 0.0 else 0.0
-            worst_norm_sigma = max(worst_norm_sigma, sigma)
-            norm_fails += not ok
         cross = [
             (f, g)
             for i, f in enumerate(monomials)
             for g in monomials[i + 1 :]
             if is_admissible(spec, f.a + g.a, f.b + g.b)
         ][:10]
-        for ci, (f, g) in enumerate(cross):
-            est = inner_product_mc(spec, f, g, n, seed=7600 + 100 * si + ci)
+        estimates = inner_products_mc(
+            spec, [(m, m) for m in monomials] + cross, n, seed=7000 + 100 * si
+        )
+        for m, est in zip(monomials, estimates):
+            norm = monomial_norm_sq(spec, m.a, m.b)
+            diff = abs(est.value - norm)
+            # The constant monomial integrates exactly (zero variance), so
+            # the 3-sigma band widens by floating-point roundoff alone.
+            ok = diff <= 3.0 * est.std_error + 16.0 * np.finfo(float).eps * norm
+            sigma = diff / est.std_error if est.std_error > 0.0 else 0.0
+            if sigma > worst_norm[0]:
+                worst_norm = (sigma, f"{spec}, {m.name}")
+            norm_fails += not ok
+        for (f, g), est in zip(cross, estimates[len(monomials) :]):
             sigma = abs(est.value) / est.std_error
-            worst_cross_sigma = max(worst_cross_sigma, sigma)
+            if sigma > worst_cross[0]:
+                worst_cross = (sigma, f"{spec}, <{f.name}, {g.name}>")
             cross_fails += sigma > 3.0
     elapsed = time.perf_counter() - t0
     ok = norm_fails == 0 and cross_fails == 0
     detail = (
-        f"worst norm deviation {worst_norm_sigma:.2f} sigma, "
-        f"worst cross term {worst_cross_sigma:.2f} sigma"
+        f"worst norm deviation {worst_norm[0]:.2f} sigma ({worst_norm[1]}), "
+        f"worst cross term {worst_cross[0]:.2f} sigma ({worst_cross[1]})"
     )
     return CriterionResult(8, "basis-norms", ok, detail, elapsed)
 
@@ -297,13 +307,10 @@ def criterion_9_boundary_asymptotics() -> CriterionResult:
     )
 
 
-_RAMADANOV_POINTS = (Point2C(0.5, 0.6), Point2C(0.3, 0.7), Point2C(0.2, 0.9))
-
-
 def criterion_10_ramadanov() -> CriterionResult:
     """Fat kernels converge to the bidisc kernel as the exponent grows."""
     t0 = time.perf_counter()
-    table = ramadanov_table(_RAMADANOV_POINTS, 25)
+    table = ramadanov_table(RAMADANOV_POINTS, 25)
     ok = True
     details = []
     for j, (p, k0) in enumerate(zip(table.points, table.k_start)):

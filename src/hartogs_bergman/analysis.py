@@ -45,6 +45,7 @@ __all__ = [
     "AsymptoticReport",
     "DeltaRateReport",
     "RamadanovTable",
+    "RAMADANOV_POINTS",
     "lqk_witness",
     "thin_nonvanishing",
     "stable_quadratic_roots",
@@ -307,6 +308,10 @@ class RamadanovTable:
     ks: tuple[int, ...]
     errors: tuple[tuple[float, ...], ...]  # errors[i][j] for ks[i], points[j]; NaN below k_start
     max_errors: tuple[float, ...]
+
+
+# Default diagonal points of the Ramadanov table (criterion 10 and the CLI).
+RAMADANOV_POINTS = (Point2C(0.5, 0.6), Point2C(0.3, 0.7), Point2C(0.2, 0.9))
 
 
 def ramadanov_table(points, k_max: int) -> RamadanovTable:

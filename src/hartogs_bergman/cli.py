@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .acceptance import _pairs, run_all
 from .analysis import (
+    RAMADANOV_POINTS,
     diagonal_ratio,
     delta_rate,
     lqk_witness,
@@ -402,7 +403,7 @@ def _cmd_ramadanov(args):
     if args.point:
         points = [Point2C(p[0], p[1]) for p in args.point]
     else:
-        points = [Point2C(0.5, 0.6), Point2C(0.3, 0.7), Point2C(0.2, 0.9)]
+        points = RAMADANOV_POINTS
     table = ramadanov_table(points, args.kmax)
     header = ["k"] + [f"e_p{j}" for j in range(len(points))] + ["e_max"]
     rows = [

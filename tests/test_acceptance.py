@@ -7,7 +7,8 @@ samples per domain and dominates the runtime).
 
 import pytest
 
-from hartogs_bergman.acceptance import ALL_CRITERIA
+from hartogs_bergman import oracle
+from hartogs_bergman.acceptance import ALL_CRITERIA, criterion_8_basis_norms
 
 
 @pytest.mark.parametrize(
@@ -21,3 +22,17 @@ def test_criterion(number, name, runner):
         f"{result.details} [{result.elapsed_s:.2f}s]"
     )
     assert result.passed, f"criterion {number} ({name}): {result.details}"
+
+
+def test_basis_norms_draw_one_stream_per_domain(monkeypatch):
+    # All inner products of a domain share one 2e5-point stream.
+    drawn = []
+    original = oracle._fill_uniform
+
+    def counting(rng, spec, n):
+        drawn.append((str(spec), n))
+        return original(rng, spec, n)
+
+    monkeypatch.setattr(oracle, "_fill_uniform", counting)
+    assert criterion_8_basis_norms().passed
+    assert drawn == [(text, 200_000) for text in ("classical", "fat:2", "fat:3", "thin:2", "thin:3")]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hartogs_bergman import (
     bergman_fat,
     bergman_thin,
 )
-from hartogs_bergman import oracle
+from hartogs_bergman import cli, oracle
 from hartogs_bergman.domain import _volume, sample_uniform_arrays
 from hartogs_bergman.kernels import kernel_num_den
 from hartogs_bergman.oracle import (
@@ -19,6 +20,7 @@ from hartogs_bergman.oracle import (
     b_min,
     basis_norms,
     inner_product_mc,
+    inner_products_mc,
     is_admissible,
     kernel_series,
     monomial_norm_sq,
@@ -230,6 +232,74 @@ class TestMonteCarlo:
     def test_requires_minimum_samples(self):
         with pytest.raises(ValueError):
             inner_product_mc(DomainSpec.classical(), Monomial(0, 0), Monomial(0, 0), 10, seed=1)
+
+
+# repr((complex(value), std_error)) of inner_product_mc(spec, f, g, n,
+# seed=11), recorded before the single-pair estimator became a wrapper over
+# inner_products_mc.  n = 1_500_000 spans two default chunks.  Like
+# GOLDEN_STREAMS in test_domain.py these depend on numpy's PCG64 stream and
+# the platform libm (recorded with numpy 2.4 on x86-64 glibc).
+GOLDEN_INNER_PRODUCTS = {
+    ("fat:2", "one", "one", 20_000): "((6.579736267392905+0j), 0.0)",
+    ("fat:2", "z1", "z2", 20_000): "((0.009416655721797321+0.015678500809239153j), 0.023208688274428655)",
+    ("fat:2", "z1", "z2", 1_500_000): "((0.0007737879589633711-0.00021507236813325016j), 0.00268566616412797)",
+    ("fat:2", "z2inv", "z2inv", 20_000): "((19.307392671754847+4.671593294025172e-18j), 0.4369416430299977)",
+    ("fat:2", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.01856086599123357-0.0008203542628246511j), 0.016364692974459173)",
+    ("thin:3", "one", "one", 20_000): "((2.4674011002723395+0j), 0.0)",
+    ("thin:3", "z1", "z2", 20_000): "((-0.00604033492527696-0.0008503564039038045j), 0.00872900300741546)",
+    ("thin:3", "z1", "z2", 1_500_000): "((0.0011977270155443356-0.0013730961085247672j), 0.0010077342604469547)",
+    ("thin:3", "z2inv", "z2inv", 20_000): "((3.2839604427618254-1.2847451297453009e-20j), 0.008349494312407264)",
+    ("thin:3", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.005908982096869434-0.0005034312863235499j), 0.004835606749009123)",
+    ("classical", "one", "one", 20_000): "((4.934802200544679+0j), 0.0)",
+    ("classical", "z1", "z2", 20_000): "((0.005848962304232492+0.006616824132762558j), 0.017381508937666018)",
+    ("classical", "z1", "z2", 1_500_000): "((0.0004818813726112889+0.0004784938695117086j), 0.0020142297979821593)",
+    ("classical", "z2inv", "z2inv", 20_000): "((9.95569077252577-3.9281657413713687e-19j), 0.10457896346059897)",
+    ("classical", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.014492637628099688+0.005270122583553231j), 0.010934891971471173)",
+}
+
+# sha256 of the stdout of
+# `inner-product --spec classical --f z2inv --g z2inv --n 1000000 --seed 5`.
+GOLDEN_INNER_PRODUCT_REPORT = "df9f5501882ea9101dc1fd61eff7008a4a346b65514a55d58759fd4eb3ae1e52"
+
+
+class TestInnerProductsBatch:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_INNER_PRODUCTS), ids=str)
+    def test_golden_single_pair(self, key):
+        text, f, g, n = key
+        est = inner_product_mc(DomainSpec.parse(text), parse_function(f), parse_function(g), n, seed=11)
+        assert repr((complex(est.value), est.std_error)) == GOLDEN_INNER_PRODUCTS[key]
+
+    def test_golden_cli_report(self, capsys):
+        code = cli.main(
+            ["inner-product", "--spec", "classical", "--f", "z2inv", "--g", "z2inv",
+             "--n", "1000000", "--seed", "5"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INNER_PRODUCT_REPORT
+
+    @pytest.mark.parametrize("text", ["fat:2", "thin:3", "classical"])
+    def test_batch_matches_single_calls(self, text):
+        spec = DomainSpec.parse(text)
+        one, z1, z2, z2inv = (parse_function(t) for t in ("one", "z1", "z2", "z2inv"))
+        pairs = [(one, one), (z1, z2), (z2inv, z2inv), (z1, z1), (z2, z1), (z2inv, one)]
+        # chunk < n: the shared stream spans several chunks.
+        batch = inner_products_mc(spec, pairs, 25_000, seed=12, chunk=10_000)
+        assert len(batch) == len(pairs)
+        for (f, g), est in zip(pairs, batch):
+            single = inner_product_mc(spec, f, g, 25_000, seed=12, chunk=10_000)
+            assert repr(est) == repr(single)
+
+    def test_constant_pair_is_exact_volume(self):
+        spec = DomainSpec.thin(2)
+        one = Monomial(0, 0)
+        est = inner_products_mc(spec, [(Monomial(1, 0), one), (one, one)], 5_000, seed=13)[1]
+        assert est.std_error == 0.0
+        assert est.value == _volume(spec)
+
+    def test_requires_minimum_samples(self):
+        with pytest.raises(ValueError):
+            inner_products_mc(DomainSpec.classical(), [(Monomial(0, 0), Monomial(0, 0))], 999, seed=1)
 
 
 class TestReproducing:
