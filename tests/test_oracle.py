@@ -343,3 +343,53 @@ class TestReproducing:
         assert rep.excluded == n - ok.sum() > 0
         expected = _volume(spec) * np.sum(num[ok] / den[ok]) / ok.sum()
         assert rep.estimate == pytest.approx(expected, rel=1e-12)
+
+
+# repr((estimate, residual, excluded)) of every report of
+# reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
+# seed=36), row by row, recorded while each chunk was still evaluated in one
+# piece.  n spans two full default chunks and a partial one, and a chunk
+# spans many evaluation sub-blocks.  The third case raises the near-singular
+# threshold to 0.25, so that samples are excluded inside sub-blocks.  Like
+# GOLDEN_STREAMS these depend on numpy's PCG64 stream and the platform libm
+# (recorded with numpy 2.4 on x86-64 glibc).
+_GOLDEN_FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+_GOLDEN_ZS = (Point2C(0.05, 0.6), Point2C(0.1 + 0.05j, 0.7j))
+GOLDEN_REPRODUCING = {
+    ("fat:2", None): (
+        "((0.9991387613064272-0.0007566981505443131j), 0.0011464397840027017, 0)",
+        "((1.0005729195333306+0.0006497214728360485j), 0.0008662417583654142, 0)",
+        "((0.05065676705716367+7.198106207396581e-05j), 0.0006606998113157875, 0)",
+        "((0.0990822194309105+0.04987815510797409j), 0.0009258333277167451, 0)",
+        "((0.5992909916553283+0.0001877919327204589j), 0.0007334566400333266, 0)",
+        "((-7.13429884083716e-05+0.700345298681832j), 0.00035259183437795646, 0)",
+    ),
+    ("thin:3", None): (
+        "((0.9998355559296396-0.00077521400786782j), 0.0007924636334060971, 0)",
+        "((1.0019829176190205-0.0003966127041762129j), 0.0020221928495907098, 0)",
+        "((0.05084502707218063-0.00010366369153402942j), 0.0008513617995074868, 0)",
+        "((0.10157884623585191+0.050060246462501054j), 0.0015799952761662332, 0)",
+        "((0.6008752864059924-0.0003675329210482884j), 0.0009493190931238267, 0)",
+        "((0.0006805743379622174+0.7021503142590534j), 0.002255445153884532, 0)",
+    ),
+    ("fat:2", 0.25): (
+        "((0.995224607224216-0.0008317639369168709j), 0.004847288665817758, 17364)",
+        "((0.9982104101584605+0.0007419350954526407j), 0.0019372917918594084, 10915)",
+        "((0.05082668169640228+0.0001067118712490366j), 0.0008335406712524714, 17364)",
+        "((0.09937879077034437+0.050021980486203634j), 0.0006215979800346047, 10915)",
+        "((0.6029364319676414+0.0001617442615026153j), 0.0029408831848128907, 17364)",
+        "((-7.011055573542105e-05+0.7031325840228478j), 0.0031333684989524233, 10915)",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_REPRODUCING), ids=str)
+def test_reproducing_batch_golden(key, monkeypatch):
+    text, threshold = key
+    if threshold is not None:
+        monkeypatch.setattr(oracle, "NEAR_SINGULAR_THRESHOLD", threshold)
+    reports = oracle.reproducing_residuals_batch(
+        DomainSpec.parse(text), _GOLDEN_FS, _GOLDEN_ZS, 2_500_001, seed=36
+    )
+    got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
+    assert got == GOLDEN_REPRODUCING[key]
