@@ -35,6 +35,7 @@ from .domain import (
     boundary_distance,
     boundary_paths,
     contains,
+    sample_chunks,
     sample_uniform,
     sampling_acceptance,
 )

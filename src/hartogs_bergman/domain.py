@@ -31,6 +31,7 @@ __all__ = [
     "BoundaryPath",
     "contains",
     "boundary_distance",
+    "sample_chunks",
     "sample_uniform",
     "sample_uniform_arrays",
     "sampling_acceptance",
@@ -324,6 +325,38 @@ def sample_uniform_arrays(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarr
         raise ValueError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     return _fill_uniform(rng, spec, n)
+
+
+def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
+    """Yield n uniform points as (z1, z2) array chunks of length chunk (the last may be shorter).
+
+    The chunks are the successive ``_fill_uniform`` draws of one
+    ``default_rng(seed)``, so the stream is fixed by (spec, n, seed, chunk).
+    With two or more chunks a single helper thread draws chunk k + 1 while
+    the caller works on chunk k: numpy's generator and ufuncs release the
+    interpreter lock, so sampling and evaluation overlap.  Only one thread
+    touches the generator at a time, in chunk order, so the points do not
+    depend on timing.  The helper lives only while the stream is open;
+    closing the stream early waits for the draw in flight and joins it.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    if chunk < 1:
+        raise ValueError(f"chunk size must be >= 1, got {chunk}")
+    rng = np.random.default_rng(seed)
+    sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+    if len(sizes) == 1:
+        yield _fill_uniform(rng, spec, n)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
+        ahead = helper.submit(_fill_uniform, rng, spec, sizes[0])
+        for m in sizes[1:]:
+            ready = ahead.result()
+            ahead = helper.submit(_fill_uniform, rng, spec, m)
+            yield ready
+        yield ahead.result()
 
 
 def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:

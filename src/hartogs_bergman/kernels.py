@@ -97,20 +97,26 @@ def _horner(coeffs: tuple[float, ...], x):
     return acc
 
 
-def fat_numerator(k: int, s, t):
-    """Numerator quad(s) t^2 + lin(s) t + s^k quad(s); accepts arrays."""
+def _fat_numerator(k: int, s, t, sk):
+    # sk is s**k, which the fat denominator needs too.
     c2f, c1f = _fat_float_coeffs(k)
     c2v = _horner(c2f, s)
     c1v = _horner(c1f, s)
-    return (c2v * t + c1v) * t + s**k * c2v
+    return (c2v * t + c1v) * t + sk * c2v
+
+
+def fat_numerator(k: int, s, t):
+    """Numerator quad(s) t^2 + lin(s) t + s^k quad(s); accepts arrays."""
+    return _fat_numerator(k, s, t, s**k)
 
 
 def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
     """(numerator, denominator) of the domain's kernel; scalar or array args."""
     if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
         k = spec.k if spec.kind is DomainKind.FAT else 1
-        num = fat_numerator(k, s, t)
-        den = (k * PI_SQ) * (1.0 - t) ** 2 * (t - s**k) ** 2
+        sk = s**k
+        num = _fat_numerator(k, s, t, sk)
+        den = (k * PI_SQ) * (1.0 - t) ** 2 * (t - sk) ** 2
         return num, den
     if spec.kind is DomainKind.THIN:
         k = spec.k

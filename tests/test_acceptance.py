@@ -7,7 +7,7 @@ samples per domain and dominates the runtime).
 
 import pytest
 
-from hartogs_bergman import oracle
+from hartogs_bergman import domain
 from hartogs_bergman.acceptance import ALL_CRITERIA, criterion_8_basis_norms
 
 
@@ -27,12 +27,12 @@ def test_criterion(number, name, runner):
 def test_basis_norms_draw_one_stream_per_domain(monkeypatch):
     # All inner products of a domain share one 2e5-point stream.
     drawn = []
-    original = oracle._fill_uniform
+    original = domain._fill_uniform
 
     def counting(rng, spec, n):
         drawn.append((str(spec), n))
         return original(rng, spec, n)
 
-    monkeypatch.setattr(oracle, "_fill_uniform", counting)
+    monkeypatch.setattr(domain, "_fill_uniform", counting)
     assert criterion_8_basis_norms().passed
     assert drawn == [(text, 200_000) for text in ("classical", "fat:2", "fat:3", "thin:2", "thin:3")]

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,11 +18,14 @@ from hartogs_bergman import (
     boundary_distance,
     boundary_paths,
     contains,
+    sample_chunks,
     sample_uniform,
     sampling_acceptance,
 )
+from hartogs_bergman import domain
 from hartogs_bergman.domain import (
     BOUNDARY_MARGIN,
+    _fill_uniform,
     _inside_mask,
     _volume,
     sample_uniform_arrays,
@@ -275,6 +280,85 @@ class TestSampling:
         assert _volume(spec) == pytest.approx(vol, rel=1e-9)
         acc = sampling_acceptance(spec, 500_000, seed=13)
         assert acc == pytest.approx(vol / math.pi**2, abs=0.01)
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sample_chunks")]
+
+
+class TestSampleChunks:
+    SPEC = DomainSpec.thin(3)  # acceptance 1/4: each chunk takes several rounds
+
+    def _sequential(self, n, seed, chunk):
+        rng = np.random.default_rng(seed)
+        return [_fill_uniform(rng, self.SPEC, min(chunk, n - lo)) for lo in range(0, n, chunk)]
+
+    def _check_stream(self, n, seed, chunk):
+        before = threading.active_count()
+        helpers = []
+        got = []
+        for z1, z2 in sample_chunks(self.SPEC, n, seed, chunk):
+            helpers.append(len(_helper_threads()))
+            got.append((z1, z2))
+        expected = self._sequential(n, seed, chunk)
+        assert len(got) == len(expected)
+        for (z1, z2), (e1, e2) in zip(got, expected):
+            assert z1.tobytes() == e1.tobytes()
+            assert z2.tobytes() == e2.tobytes()
+        assert threading.active_count() == before
+        return helpers
+
+    def test_single_chunk_starts_no_thread(self):
+        assert self._check_stream(5_000, seed=40, chunk=20_000) == [0]
+
+    def test_exact_multiple_of_chunk(self):
+        helpers = self._check_stream(30_000, seed=41, chunk=10_000)
+        assert helpers == [1, 1, 1]
+
+    def test_partial_last_chunk(self):
+        self._check_stream(25_001, seed=42, chunk=10_000)
+
+    def test_short_switch_interval(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._check_stream(25_001, seed=42, chunk=10_000)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sampler_error_reaches_caller(self, monkeypatch):
+        calls = []
+
+        def failing(rng, spec, n):
+            calls.append(n)
+            if len(calls) == 2:
+                raise RuntimeError("second chunk failed")
+            return _fill_uniform(rng, spec, n)
+
+        monkeypatch.setattr(domain, "_fill_uniform", failing)
+        before = threading.active_count()
+        stream = sample_chunks(self.SPEC, 30_000, seed=43, chunk=10_000)
+        next(stream)
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            next(stream)
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_early_close_joins_helper(self):
+        before = threading.active_count()
+        stream = sample_chunks(self.SPEC, 40_000, seed=44, chunk=10_000)
+        next(stream)
+        helpers = _helper_threads()
+        assert len(helpers) == 1
+        stream.close()
+        helpers[0].join(timeout=30.0)
+        assert not helpers[0].is_alive()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, chunk", [(0, 10), (10, 0)])
+    def test_rejects_empty_stream_or_chunk(self, n, chunk):
+        with pytest.raises(ValueError):
+            next(sample_chunks(self.SPEC, n, seed=1, chunk=chunk))
 
 
 class TestBoundaryPaths:
