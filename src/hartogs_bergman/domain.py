@@ -348,6 +348,7 @@ def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
     if len(sizes) == 1:
         yield _fill_uniform(rng, spec, n)
         return
+    # Imported on first use so that importing the package stays as cheap as before.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
