@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hartogs_bergman import (
     DomainError,
+    DomainKind,
     DomainSpec,
     KernelArgs,
     Point2C,
@@ -16,6 +18,7 @@ from hartogs_bergman import (
     diagonal,
     kernel,
 )
+from hartogs_bergman import cli
 from hartogs_bergman.domain import sample_uniform_arrays
 from hartogs_bergman.kernels import kernel_num_den
 
@@ -164,3 +167,89 @@ class TestValueStructure:
         b = bergman_thin(2, z, w, variant="1-s").value
         assert abs(a - b) / abs(a) > 1e-2
         assert bergman_thin(2, z, w).value == a  # default is the resolved form
+
+
+# Every scalar entry point, pinned bit for bit: the sha256 of the reprs of
+# (value, numerator, denominator, near_singular) over seeded pairs of each
+# domain, in the order _scalar_results lists them.  The pairs come from the
+# rejection sampler, whose streams GOLDEN_STREAMS in test_domain.py pins;
+# the hashes also depend on the platform libm (recorded with numpy 2.4 on
+# x86-64 glibc, Python 3.11).  The two bidiscs draw the same pairs and share
+# one kernel, hence one hash.
+_GOLDEN_PAIRS = 300
+_CORNER = Point2C(1.0 - 2.6e-14, 1.0 - 1.2e-14)
+GOLDEN_SCALAR = {
+    "fat:1": "6eba82e01be7f7033d0e7aae5c802adcdfcbba5df15c6f406eb77c98e45dbc84",
+    "fat:2": "5300c4387ef4b3cc77841490015ca17e6949c0fd87463d43758a949ba676487a",
+    "fat:3": "237bbe1f46440959028bb8e38dbff59ed10f9ccb2404c2fb56bbd250b21ec846",
+    "fat:4": "9a57ca9c2236e9d21cf4b6a4226c09f009c43a05c7f975e8f49378680bf0e4e8",
+    "fat:5": "beecd19c0cdf7bb17b8ff920778c2fddcbde9e025682fd7a3f9923216d639f6e",
+    "fat:6": "631433f8b0d6b4419e7984167409a7df7f954b1632cd60c58328a9894d7bd189",
+    "fat:7": "532489a67bc5f368f97d190cc9e87d00fb71737c31bf39411822ac14aafb4c5f",
+    "fat:8": "583b2d4ac2c70b48bc9d1d65e951607ce7464eb07c2c1ad43126bc5e9362c997",
+    "thin:2": "9e7a71a5cbef9da66f09b25e7aab5acb17592df2a27653102caf576d76145242",
+    "thin:3": "18fed321d3f54ec6c26d4fab7755c3989ea76cfa368182f297aa7771183c9722",
+    "thin:4": "364695a20e402f61d5763172afeb4178aa62d10f461ebada26501c797775b4c9",
+    "thin:5": "f66a216015fffa0554463bf0aa29286864288b91775f1b3b860424da8b11628f",
+    "bidisc": "7e53753641509acaca7aca577ca40f2f8e0ac10cc159b844d5c793de998f73d4",
+    "punctured-bidisc": "7e53753641509acaca7aca577ca40f2f8e0ac10cc159b844d5c793de998f73d4",
+    "corner": "05e3c5f22a329c5fcc4bc7f40d1fb25c3d23e90a6b2163a771347df782f8037f",
+}
+
+
+def _scalar_results(text):
+    if text == "corner":
+        spec, pairs = DomainSpec.classical(), [(_CORNER, _CORNER)]
+    else:
+        spec = DomainSpec.parse(text)  # fat:1 is the classical triangle
+        pairs = pairs_of(spec, _GOLDEN_PAIRS, seed=17)
+    for z, w in pairs:
+        if spec.kind is DomainKind.THIN:
+            for v in ("1-t", "1-s"):
+                yield kernel(spec, z, w, thin_variant=v)
+                yield bergman_thin(spec.k, z, w, variant=v)
+            continue
+        yield kernel(spec, z, w)
+        if spec.kind is DomainKind.FAT:
+            yield bergman_fat(spec.k, z, w)
+            continue
+        if spec.kind is DomainKind.CLASSICAL:
+            yield bergman_fat(1, z, w)
+        yield bergman_reference(spec, z, w)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_SCALAR))
+def test_scalar_entry_points_golden(text):
+    lines = [
+        repr((kv.value, kv.numerator, kv.denominator, kv.near_singular))
+        for kv in _scalar_results(text)
+    ]
+    assert _digest(lines) == GOLDEN_SCALAR[text]
+
+
+# sha256 of the stdout of `eval --spec SPEC --thin-variant V` at one
+# off-axis pair with nonzero imaginary parts.
+_EVAL_POINTS = ["--z", "0.05,0.02", "0.6,-0.1", "--w", "0.04,-0.01", "0.5,0.2"]
+GOLDEN_EVAL = {
+    ("fat:4", "1-t"):
+        "1c43d927fb61c9153fd65fb5a6cd3b166179088b9cafb97ee86b1961106e42f6",
+    ("thin:3", "1-t"):
+        "3fe001eb4049f059193c699160f986df4b752644b41d6b40daa12dbc23ffaecf",
+    ("thin:3", "1-s"):
+        "20545104388f3cc9075dea51c0ac618ef8f6de8810f242b721d62b7a6a321859",
+    ("bidisc", "1-t"):
+        "b1be9d44c1633a75a32f2a0e4715a969ccfbb53a0e1081879eb3a4fa1d4f3a77",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_EVAL), ids=str)
+def test_eval_report_golden(key, capsys):
+    spec, variant = key
+    code = cli.main(["eval", "--spec", spec, "--thin-variant", variant, *_EVAL_POINTS])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _digest([out]) == GOLDEN_EVAL[key]
