@@ -291,9 +291,7 @@ def delta_rate(spec: DomainSpec, path: BoundaryPath) -> DeltaRateReport:
         t = abs(p.z2) ** 2
         num, den = kernel_num_den(spec, s, t)
         delta = boundary_distance(spec, p)
-        v = (num.real if isinstance(num, complex) else float(num)) / float(
-            den.real if isinstance(den, complex) else den
-        ) * delta**2
+        v = num / den * delta**2
         if not (math.isfinite(v) and v > 0.0):
             raise SingularEvaluation(f"value became {v} at ({p.z1}, {p.z2})")
         values.append(v)

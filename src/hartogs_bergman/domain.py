@@ -30,6 +30,7 @@ __all__ = [
     "PathKind",
     "BoundaryPath",
     "contains",
+    "require_inside",
     "boundary_distance",
     "sample_chunks",
     "sample_uniform",
@@ -195,6 +196,12 @@ def contains(spec: DomainSpec, p: Point2C) -> bool:
     return bool(_inside_moduli(spec, r1, r2))
 
 
+def require_inside(spec: DomainSpec, p: Point2C, name: str = "point") -> None:
+    """Raise DomainError unless p is strictly inside the domain."""
+    if not contains(spec, p):
+        raise DomainError(f"{name} ({p.z1}, {p.z2}) is not inside {spec}")
+
+
 def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
     """Golden-section minimum of f on [lo, hi] (assumes the bracket holds it).
 
@@ -237,8 +244,7 @@ def boundary_distance(spec: DomainSpec, p: Point2C) -> float:
     """
     if not spec.is_triangle:
         raise DomainError(f"boundary_distance requires a Hartogs triangle, got {spec}")
-    if not contains(spec, p):
-        raise DomainError(f"point ({p.z1}, {p.z2}) is not inside {spec}")
+    require_inside(spec, p)
     r1, r2 = abs(p.z1), abs(p.z2)
     g = float(spec.gamma)
     if g >= 1.0:

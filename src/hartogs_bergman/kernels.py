@@ -17,6 +17,12 @@ through the shear biholomorphism (see the oracle and transforms modules,
 and the resolution acceptance test).  The "1-s" form is retained solely so
 the resolution test can demonstrate its failure.
 
+``kernel_num_den`` is the only place these forms are written, for scalars
+and arrays alike.  ``kernel`` is the one scalar entry point over it, and
+``bergman_fat``, ``bergman_thin`` and ``bergman_reference`` wrap ``kernel``.
+Since fat(1) and thin(1) are the classical triangle, every gamma = 1 entry
+point returns the classical kernel, whichever thin variant is asked for.
+
 Numerator and denominator are returned separately: the numerator's zeros
 are what the Lu Qi-Keng analysis scans for, and a near-singular flag on
 the denominator replaces silent infinities near t = s^k or t = 1.
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-from .domain import DomainError, DomainKind, DomainSpec, Point2C, contains
+from .domain import DomainKind, DomainSpec, Point2C, require_inside
 from .polynomials import lin_coeff, quad_coeff
 
 __all__ = [
@@ -111,7 +117,13 @@ def fat_numerator(k: int, s, t):
 
 
 def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
-    """(numerator, denominator) of the domain's kernel; scalar or array args."""
+    """(numerator, denominator) of the domain's kernel; scalar or array args.
+
+    The only place the closed forms are written: ``kernel`` and the scalar
+    wrappers over it evaluate them here too.
+    """
+    if thin_variant not in ("1-t", "1-s"):
+        raise ValueError(f"unknown thin variant {thin_variant!r}")
     if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
         k = spec.k if spec.kind is DomainKind.FAT else 1
         sk = s**k
@@ -128,32 +140,29 @@ def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
     return one, PI_SQ * (1.0 - s) ** 2 * (1.0 - t) ** 2
 
 
-def _make_value(num: complex, den: complex) -> KernelValue:
+def kernel(
+    spec: DomainSpec,
+    z: Point2C,
+    w: Point2C,
+    *,
+    thin_variant: ThinVariant = THIN_VARIANT_DEFAULT,
+    check: bool = True,
+) -> KernelValue:
+    """The domain's kernel at one pair; every scalar entry point lands here."""
+    if check:
+        require_inside(spec, z, name="z")
+        require_inside(spec, w, name="w")
+    s = z.z1 * w.z1.conjugate()
+    t = z.z2 * w.z2.conjugate()
+    num, den = kernel_num_den(spec, s, t, thin_variant)
     near = abs(den) < NEAR_SINGULAR_THRESHOLD
     value = num / den if den != 0 else complex("nan")
     return KernelValue(value, num, den, near)
 
 
-def _check_pair(spec: DomainSpec, z: Point2C, w: Point2C) -> None:
-    for label, q in (("z", z), ("w", w)):
-        if not contains(spec, q):
-            raise DomainError(f"{label} = ({q.z1}, {q.z2}) is not inside {spec}")
-
-
 def bergman_fat(k: int, z: Point2C, w: Point2C, *, check: bool = True) -> KernelValue:
     """Kernel of the fat triangle of exponent k (k = 1 gives the classical one)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if check:
-        _check_pair(DomainSpec.fat(k), z, w)
-    args = KernelArgs.from_points(z, w)
-    c2f, c1f = _fat_float_coeffs(k)
-    s, t = args.s, args.t
-    c2v = _horner(c2f, s)
-    c1v = _horner(c1f, s)
-    num = (c2v * t + c1v) * t + s**k * c2v
-    den = (k * PI_SQ) * (1.0 - t) ** 2 * (t - s**k) ** 2
-    return _make_value(num, den)
+    return kernel(DomainSpec.fat(k), z, w, check=check)
 
 
 def bergman_thin(
@@ -165,51 +174,14 @@ def bergman_thin(
     check: bool = True,
 ) -> KernelValue:
     """Kernel of the thin triangle of exponent 1/k (k = 1: classical)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if variant not in ("1-t", "1-s"):
-        raise ValueError(f"unknown thin variant {variant!r}")
-    if check:
-        _check_pair(DomainSpec.thin(k), z, w)
-    args = KernelArgs.from_points(z, w)
-    s, t = args.s, args.t
-    tk = t**k
-    mid = (1.0 - t) if variant == "1-t" else (1.0 - s)
-    num = tk
-    den = PI_SQ * mid**2 * (tk - s) ** 2
-    return _make_value(num, den)
+    return kernel(DomainSpec.thin(k), z, w, thin_variant=variant, check=check)
 
 
 def bergman_reference(spec: DomainSpec, z: Point2C, w: Point2C, *, check: bool = True) -> KernelValue:
     """Kernel of a reference domain: bidisc, punctured bidisc, or classical."""
-    if spec.kind is DomainKind.CLASSICAL:
-        if check:
-            _check_pair(spec, z, w)
-        return bergman_fat(1, z, w, check=False)
-    if spec.kind not in (DomainKind.BIDISC, DomainKind.PUNCTURED_BIDISC):
+    if spec.kind not in (DomainKind.CLASSICAL, DomainKind.BIDISC, DomainKind.PUNCTURED_BIDISC):
         raise ValueError(f"bergman_reference does not handle {spec}")
-    if check:
-        _check_pair(spec, z, w)
-    args = KernelArgs.from_points(z, w)
-    num = complex(1.0)
-    den = PI_SQ * (1.0 - args.s) ** 2 * (1.0 - args.t) ** 2
-    return _make_value(num, den)
-
-
-def kernel(
-    spec: DomainSpec,
-    z: Point2C,
-    w: Point2C,
-    *,
-    thin_variant: ThinVariant = THIN_VARIANT_DEFAULT,
-    check: bool = True,
-) -> KernelValue:
-    """Dispatch to the closed form matching the domain spec."""
-    if spec.kind is DomainKind.FAT:
-        return bergman_fat(spec.k, z, w, check=check)
-    if spec.kind is DomainKind.THIN:
-        return bergman_thin(spec.k, z, w, variant=thin_variant, check=check)
-    return bergman_reference(spec, z, w, check=check)
+    return kernel(spec, z, w, check=check)
 
 
 def diagonal(spec: DomainSpec, z: Point2C) -> float:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import DomainError, DomainSpec, Point2C, _volume, contains, sample_chunks
+from .domain import DomainSpec, Point2C, _volume, require_inside, sample_chunks
 from .kernels import (
     NEAR_SINGULAR_THRESHOLD,
     PI_SQ,
@@ -196,9 +196,8 @@ def kernel_series(
     if (a_max is None) != (b_max is None):
         raise ValueError("give both a_max and b_max, or neither for auto truncation")
     if check:
-        for label, q in (("z", z), ("w", w)):
-            if not contains(spec, q):
-                raise DomainError(f"{label} = ({q.z1}, {q.z2}) is not inside {spec}")
+        require_inside(spec, z, name="z")
+        require_inside(spec, w, name="w")
     s = z.z1 * w.z1.conjugate()
     t = z.z2 * w.z2.conjugate()
     abs_s, abs_t = abs(s), abs(t)
@@ -385,8 +384,7 @@ def reproducing_residuals_batch(
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
     for z in zs:
-        if not contains(spec, z):
-            raise DomainError(f"evaluation point ({z.z1}, {z.z2}) is not inside {spec}")
+        require_inside(spec, z, name="evaluation point")
     for f in fs:
         if not is_admissible(spec, f.a, f.b):
             raise ValueError(f"{f.name} is not square-integrable on {spec}")

@@ -30,7 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .domain import DomainError, DomainSpec, Point2C, contains
+from .domain import DomainError, DomainSpec, Point2C, require_inside
 from .kernels import (
     THIN_VARIANT_DEFAULT,
     SingularEvaluation,
@@ -155,8 +155,7 @@ def shear_iter_inv(k: int) -> ProperMap:
 def apply(m: ProperMap, p: Point2C, src: DomainSpec | None = None) -> Point2C:
     """Apply the map after checking membership in its source domain."""
     source = src if src is not None else m.default_source
-    if not contains(source, p):
-        raise DomainError(f"point ({p.z1}, {p.z2}) is not inside {source}")
+    require_inside(source, p)
     return m.image(p)
 
 
@@ -190,8 +189,7 @@ def branch_inverses(k: int, w: Point2C) -> list[BranchInverse]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not contains(DomainSpec.fat(k), w):
-        raise DomainError(f"point ({w.z1}, {w.z2}) is not inside {DomainSpec.fat(k)}")
+    require_inside(DomainSpec.fat(k), w)
     base = abs(w.z2) ** (1.0 / k) * cmath.exp(1j * _arg_in_2pi(w.z2) / k)
     out = []
     for j in range(1, k + 1):
@@ -205,8 +203,7 @@ def bell_residual(k: int, z: Point2C, w: Point2C) -> float:
 
     z lives in the classical triangle, w in the fat triangle of exponent k.
     """
-    if not contains(DomainSpec.classical(), z):
-        raise DomainError(f"z = ({z.z1}, {z.z2}) is not inside {DomainSpec.classical()}")
+    require_inside(DomainSpec.classical(), z, name="z")
     u = k * z.z2 ** (k - 1)
     image = Point2C(z.z1, z.z2**k)
     target_value = bergman_fat(k, image, w)
@@ -235,13 +232,11 @@ def biholo_residual(
     """Relative residual of the biholomorphic transformation rule for m."""
     if m.order != 1:
         raise ValueError(f"{m.kind.value} has order {m.order}, not a biholomorphism")
-    for label, q in (("z", z), ("w", w)):
-        if not contains(src, q):
-            raise DomainError(f"{label} = ({q.z1}, {q.z2}) is not inside {src}")
+    require_inside(src, z, name="z")
+    require_inside(src, w, name="w")
     fz, fw = m.image(z), m.image(w)
-    for label, q in (("F(z)", fz), ("F(w)", fw)):
-        if not contains(dst, q):
-            raise DomainError(f"{label} = ({q.z1}, {q.z2}) left the target {dst}")
+    require_inside(dst, fz, name="F(z)")
+    require_inside(dst, fw, name="F(w)")
     kv_src = kernel(src, z, w, thin_variant=thin_variant, check=False)
     kv_dst = kernel(dst, fz, fw, thin_variant=thin_variant, check=False)
     if kv_src.near_singular or kv_dst.near_singular:

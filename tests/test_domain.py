@@ -28,6 +28,7 @@ from hartogs_bergman.domain import (
     _fill_uniform,
     _inside_mask,
     _volume,
+    require_inside,
     sample_uniform_arrays,
 )
 
@@ -58,6 +59,14 @@ class TestMembership:
 
     def test_thin2_example(self):
         assert contains(DomainSpec.thin(2), Point2C(0.2, 0.5))  # 0.2^(1/2) < 0.5
+
+    def test_require_inside(self):
+        require_inside(DomainSpec.fat(2), Point2C(0.5, 0.6))
+        with pytest.raises(DomainError) as exc:
+            require_inside(DomainSpec.fat(2), Point2C(0.8, 0.6))
+        assert str(exc.value) == "point ((0.8+0j), (0.6+0j)) is not inside fat:2"
+        with pytest.raises(DomainError, match=r"^w \(.*\) is not inside bidisc$"):
+            require_inside(DomainSpec.bidisc(), Point2C(0.2, 1.0), name="w")
 
     def test_boundary_margin_strictness(self):
         spec = DomainSpec.classical()

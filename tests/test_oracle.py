@@ -324,6 +324,13 @@ class TestReproducing:
         rep = reproducing_check(DomainSpec.thin(2), Monomial(0, 0), Point2C(0.05, 0.6), 500_000, seed=34)
         assert rep.residual <= 0.05
 
+    def test_unknown_thin_variant_raises(self):
+        with pytest.raises(ValueError, match="unknown thin variant"):
+            reproducing_check(
+                DomainSpec.thin(2), Monomial(0, 0), Point2C(0.05, 0.6), 10_000, seed=1,
+                thin_variant="1-x",
+            )
+
     def test_rejects_inadmissible_function(self):
         with pytest.raises(ValueError):
             reproducing_check(

@@ -227,6 +227,15 @@ class TestBiholoInvariance:
                 Point2C(0.1, 0.4),
             )
 
+    def test_unknown_thin_variant_raises(self):
+        # Neither domain is thin, yet the variant is still validated.
+        z, w = Point2C(0.1, 0.4), Point2C(0.2, 0.5)
+        with pytest.raises(ValueError, match="unknown thin variant"):
+            biholo_residual(
+                shear(), DomainSpec.classical(), DomainSpec.punctured_bidisc(), z, w,
+                thin_variant="1-x",
+            )
+
     def test_singular_pair_raises(self):
         corner = Point2C(1.0 - 2.6e-14, 1.0 - 1.2e-14)
         with pytest.raises(SingularEvaluation):
