@@ -119,8 +119,8 @@ def fat_numerator(k: int, s, t):
 def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
     """(numerator, denominator) of the domain's kernel; scalar or array args.
 
-    The only place the closed forms are written: ``kernel`` and the scalar
-    wrappers over it evaluate them here too.
+    The only place the closed forms are written; ``kernel`` evaluates them
+    here too.
     """
     if thin_variant not in ("1-t", "1-s"):
         raise ValueError(f"unknown thin variant {thin_variant!r}")

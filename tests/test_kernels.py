@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -173,19 +172,6 @@ class TestValueStructure:
             kernel_num_den(spec, 0.01 + 0.0j, 0.25 + 0.0j, "1-x")
         with pytest.raises(ValueError, match="unknown thin variant"):
             kernel_num_den(spec, np.full(3, 0.01j), np.full(3, 0.25 + 0.0j), "1-x")
-
-    def test_gamma_one_ignores_thin_variant(self, capsys):
-        # fat(1) and thin(1) are the classical triangle, so asking for the
-        # "1-s" thin form there still gives the classical kernel.
-        z, w = Point2C(0.05, 0.6), Point2C(0.04, 0.5)
-        classical = bergman_fat(1, z, w)
-        assert bergman_thin(1, z, w, variant="1-s") == classical
-        assert kernel(DomainSpec.classical(), z, w, thin_variant="1-s") == classical
-        argv = ["eval", "--spec", "thin:1", "--thin-variant", "1-s",
-                "--z", "0.05,0", "0.6,0", "--w", "0.04,0", "0.5,0"]
-        assert cli.main(argv) == 0
-        value = json.loads(capsys.readouterr().out)["results"]["value"]
-        assert complex(value["re"], value["im"]) == classical.value
 
     def test_thin_variants_differ_off_axis(self):
         z, w = Point2C(0.05, 0.6), Point2C(0.04, 0.5)
