@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from hartogs_bergman import cli
+from hartogs_bergman.acceptance import criterion_2_fat_series
 from hartogs_bergman.cli import main
 from hartogs_bergman.oracle import NonconvergentTruncation
 
@@ -138,6 +140,67 @@ class TestChecks:
         code, _, err = run(capsys, "reproducing", "--spec", "classical", "--f", "z3")
         assert code == 1
         assert "error" in err
+
+
+def _series_argv(spec, seed, *extra):
+    return ("series-compare", "--spec", spec, "--pairs", "12", "--seed", str(seed), *extra)
+
+
+# sha256 of the stdout of each pair-check command (exit code first).  The
+# pair draws, the kernel calls and their order are a contract: the reports
+# must stay byte-identical when the loops behind them are restructured.
+GOLDEN_PAIR_CHECKS = {
+    _series_argv("fat:1", 3): (0, "38149b6d66216e5da3fbf7deff94f64ac283c4bce5f5d757a67208a7f60f30cd"),
+    _series_argv("fat:1", 19): (0, "b4bdfea967c31e383d83d77e77212561f002014a4da20052db60cbf8a4123ef6"),
+    _series_argv("fat:2", 3): (0, "ac559caaaf9489c9ab5ac1fe5093bd907e771adcfe0396626788e3599df30c8f"),
+    _series_argv("fat:2", 19): (0, "4ecda4cab42c850743176b71c66f0adfd25e468b20b86452d4a7c3e662d7dd36"),
+    _series_argv("fat:4", 3): (0, "f75fd257244e9628e25ffbf0a14c3ea5beda39c0194bb41cd2f98d6624b8b5f3"),
+    _series_argv("fat:4", 19): (0, "8b054180bd3ce757ab1f046fc7ea4b9774c1012416f23cf7ec6aa298c6b94d1c"),
+    _series_argv("thin:2", 3): (0, "91f9274ed4ecde7a7ae0e7ac1d162403191ba9515345db27910a6423603842e0"),
+    _series_argv("thin:2", 19): (0, "095d3b70ff1304d5e6bda880cc47d2806d815012ecf6b83718511e840510f2f8"),
+    _series_argv("thin:3", 3): (0, "7eb5ce2ff1d40371a4d7f1a0b1f459ac76894797fdb0b9e811ccc5fbca9497df"),
+    _series_argv("thin:3", 19): (0, "92c16168b1ca541d9297f6c2dfbde305ad900f13d83046d26150e88393b1aeca"),
+    _series_argv("thin:2", 5, "--thin-variant", "1-s", "--max-mod", "0.3"):
+        (2, "9524dd5dd5fff4dbe0f7d818e001bbbb54098567a4dc92c0da95feeb6c9158ac"),
+    ("bell-check", "--k", "2", "--pairs", "40", "--seed", "11"):
+        (0, "53e447334b87737ba4a5ee279fcbb024d9127593fe617e1cc412c758c67bc5c3"),
+    ("bell-check", "--k", "3", "--pairs", "40", "--seed", "11"):
+        (0, "c0b4c0d61e371d9f8ecd2f876c282116d1850b15f56d2266bfd24b309ce28086"),
+    ("bell-check", "--k", "5", "--pairs", "40", "--seed", "11"):
+        (0, "9c5c584eef029273428f54da7d6297e0e62d08ea77d18e3d31e09a48f950eb0c"),
+    ("bell-check", "--k", "8", "--pairs", "40", "--seed", "11"):
+        (0, "58ee9210e771acfc82ceee8b2d430942bfa6c8807fbf0b9396fa6846899bc7c9"),
+    ("biholo-check", "--map", "shear", "--pairs", "40", "--seed", "13"):
+        (0, "0a9109899d54b2d83f08e9c5dead538ac230dfe52b1f470fabf6f994574c9c47"),
+    ("biholo-check", "--map", "shear-inv", "--pairs", "40", "--seed", "13"):
+        (0, "3c4aa48ed87278ae160a7e4b6f65653143386ead24b430dc1af72e847164953b"),
+    ("biholo-check", "--map", "shear-iter", "--k", "3", "--pairs", "40", "--seed", "13"):
+        (0, "def39d0d9739fae42db0199b586222741c34cc22d70a6b97ff983ed63698c5dd"),
+    ("biholo-check", "--map", "shear-iter-inv", "--k", "3", "--pairs", "40", "--seed", "13"):
+        (0, "46955225d7f665f52a791045e449857b39ee874c314611559bab9ea7b3e8824b"),
+    ("biholo-check", "--map", "shear", "--src", "thin:3", "--dst", "thin:2", "--pairs", "40",
+     "--seed", "13"):
+        (0, "f8a2292a4042b8dc0d026fdb4fbec6a339f1b2123c35f95920618436908e5ae1"),
+    ("reproduce", "--only", "2", "3", "4", "5"):
+        (0, "17f06d37e03d3c8fe5fead1f6a451d28f62a5bb1d4ef9c532b2549cd0cebfb1f"),
+}
+
+
+class TestPairCheckGolden:
+    @pytest.mark.parametrize("argv", list(GOLDEN_PAIR_CHECKS), ids=" ".join)
+    def test_report_bytes(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_PAIR_CHECKS[argv]
+
+    def test_criterion_2_is_series_compare_at_its_seeds(self, capsys):
+        worst = 0.0
+        for k in (1, 2, 3, 4):
+            _, doc, _ = run_json(
+                capsys, "series-compare", "--spec", f"fat:{k}", "--pairs", "50",
+                "--seed", str(1000 + k)
+            )
+            worst = max(worst, doc["results"]["max_rel_dev"])
+        assert criterion_2_fat_series().details == f"max relative deviation {worst:.3e}"
 
 
 class TestCsvCommands:
