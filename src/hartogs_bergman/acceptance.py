@@ -3,6 +3,8 @@
 Each criterion function pins its own seeds and tolerances and returns a
 CriterionResult; ``run_all`` executes them in order.  The same battery
 backs the ``reproduce`` CLI command and the acceptance test module.
+The pair-check loops behind criteria 2, 4 and 5 also run the
+``series-compare``, ``bell-check`` and ``biholo-check`` commands.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .analysis import (
     ramadanov_table,
     thin_nonvanishing,
 )
-from .domain import DomainSpec, PathKind, Point2C, boundary_paths, _fill_uniform
-from .kernels import bergman_reference, bergman_thin, kernel
+from .domain import DomainError, DomainSpec, PathKind, Point2C, boundary_paths, _fill_uniform
+from .kernels import THIN_VARIANT_DEFAULT, ThinVariant, bergman_reference, bergman_thin, kernel
 from .oracle import (
     Monomial,
     inner_products_mc,
@@ -32,9 +34,10 @@ from .oracle import (
     reproducing_residuals_batch,
 )
 from .polynomials import verify_coefficient_identities
-from .transforms import bell_residual, biholo_residual, shear, shear_iter
+from .transforms import ProperMap, bell_residual, biholo_residual, shear, shear_iter
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_all"]
+__all__ = ["CriterionResult", "ALL_CRITERIA", "run_all", "series_deviations", "bell_residuals",
+           "biholo_residuals"]
 
 
 @dataclass(frozen=True)
@@ -52,14 +55,16 @@ class CriterionResult:
         object.__setattr__(self, "elapsed_s", float(self.elapsed_s))
 
 
+_PAIR_ROUNDS = 10_001  # rejection rounds before _pairs gives up on its filter
+
+
 def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None, batch: int = 512):
     """First n_pairs of independent uniform point pairs passing a filter."""
+    if n_pairs < 1:
+        raise ValueError(f"pair count must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     out = []
-    rounds = 0
-    while len(out) < n_pairs:
-        if rounds > 10_000:
-            raise RuntimeError("pair filter accepts too rarely")
+    for _ in range(_PAIR_ROUNDS):
         z1, z2 = _fill_uniform(rng, spec, 2 * batch)
         for i in range(batch):
             z = Point2C(z1[i], z2[i])
@@ -67,9 +72,45 @@ def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None, batch: int = 51
             if keep is None or keep(z, w):
                 out.append((z, w))
                 if len(out) == n_pairs:
-                    break
-        rounds += 1
-    return out
+                    return out
+    # A ValueError: the filter's parameters, not the sampler, are at fault.
+    raise ValueError(f"pair filter on {spec} accepted {len(out)} of {n_pairs} pairs")
+
+
+def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float = 0.4,
+                      series_tol: float = 1e-10,
+                      thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> list[tuple]:
+    """(z, w, closed, series, truncation, rel_dev) per pair with |s|, |t| <= max_mod."""
+    if not spec.is_triangle:
+        raise DomainError(f"series comparison requires a Hartogs triangle, got {spec}")
+    if not max_mod > 0.0:
+        raise ValueError(f"max_mod must be > 0, got {max_mod}")
+
+    def small(z, w):
+        return abs(z.z1 * w.z1.conjugate()) <= max_mod and abs(z.z2 * w.z2.conjugate()) <= max_mod
+
+    rows = []
+    for z, w in _pairs(spec, n_pairs, seed, keep=small):
+        closed = kernel(spec, z, w, thin_variant=thin_variant).value
+        series, trunc = kernel_series(spec, z, w, tol=series_tol)
+        rows.append((z, w, closed, series, trunc, abs(series - closed) / abs(closed)))
+    return rows
+
+
+def bell_residuals(k: int, n_pairs: int, seed_z: int, seed_w: int) -> list[float]:
+    """Bell's covering-rule residuals, z from the classical triangle and w from fat:k."""
+    zs = _pairs(DomainSpec.classical(), n_pairs, seed_z)
+    ws = _pairs(DomainSpec.fat(k), n_pairs, seed_w)
+    return [bell_residual(k, z, w) for (z, _), (w, _) in zip(zs, ws)]
+
+
+def biholo_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, n_pairs: int, seed: int,
+                     thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> list[float]:
+    """Transformation residuals of the biholomorphism m: src -> dst on pairs of src."""
+    return [
+        biholo_residual(m, src, dst, z, w, thin_variant=thin_variant)
+        for z, w in _pairs(src, n_pairs, seed)
+    ]
 
 
 def criterion_1_exact_identities() -> CriterionResult:
@@ -89,17 +130,8 @@ def criterion_1_exact_identities() -> CriterionResult:
 def criterion_2_fat_series() -> CriterionResult:
     """Fat closed forms match the series oracle to 1e-6 at 50 pairs per k."""
     t0 = time.perf_counter()
-    worst = 0.0
-    for k in (1, 2, 3, 4):
-        spec = DomainSpec.fat(k)
-
-        def small_args(z, w):
-            return abs(z.z1 * w.z1.conjugate()) <= 0.4 and abs(z.z2 * w.z2.conjugate()) <= 0.4
-
-        for z, w in _pairs(spec, 50, seed=1000 + k, keep=small_args):
-            closed = kernel(spec, z, w).value
-            series, _ = kernel_series(spec, z, w, tol=1e-10)
-            worst = max(worst, abs(series - closed) / abs(closed))
+    rows = [r for k in (1, 2, 3, 4) for r in series_deviations(DomainSpec.fat(k), 50, 1000 + k)]
+    worst = max([0.0, *(dev for *_, dev in rows)])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 60.0
     return CriterionResult(2, "fat-kernel-vs-series", ok, f"max relative deviation {worst:.3e}", elapsed)
@@ -151,13 +183,8 @@ def criterion_4_covering_rule() -> CriterionResult:
     """Branched-covering transformation residual <= 1e-9 for k = 2..8."""
     t0 = time.perf_counter()
     worst = 0.0
-    classical = DomainSpec.classical()
     for k in range(2, 9):
-        fat = DomainSpec.fat(k)
-        zs = _pairs(classical, 100, seed=3000 + k)
-        ws = _pairs(fat, 100, seed=3500 + k)
-        for (z, _), (w, _) in zip(zs, ws):
-            worst = max(worst, bell_residual(k, z, w))
+        worst = max([worst, *bell_residuals(k, 100, 3000 + k, 3500 + k)])
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     return CriterionResult(4, "covering-rule", ok, f"max relative residual {worst:.3e}", elapsed)
@@ -168,14 +195,11 @@ def criterion_5_biholo_invariance() -> CriterionResult:
     t0 = time.perf_counter()
     classical = DomainSpec.classical()
     punctured = DomainSpec.punctured_bidisc()
-    worst_shear = 0.0
-    for z, w in _pairs(classical, 1000, seed=4000):
-        worst_shear = max(worst_shear, biholo_residual(shear(), classical, punctured, z, w))
+    worst_shear = max([0.0, *biholo_residuals(shear(), classical, punctured, 1000, 4000)])
     worst_chain = 0.0
     for k in (1, 2, 3, 4):
-        src, dst = DomainSpec.thin(k + 1), DomainSpec.thin(k)
-        for z, w in _pairs(src, 200, seed=4100 + k):
-            worst_chain = max(worst_chain, biholo_residual(shear(), src, dst, z, w))
+        chain = biholo_residuals(shear(), DomainSpec.thin(k + 1), DomainSpec.thin(k), 200, 4100 + k)
+        worst_chain = max([worst_chain, *chain])
     elapsed = time.perf_counter() - t0
     ok = worst_shear <= 1e-13 and worst_chain <= 1e-12
     detail = f"shear residual {worst_shear:.3e}, chain residual {worst_chain:.3e}"

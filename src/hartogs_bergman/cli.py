@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .acceptance import _pairs, run_all
+from .acceptance import bell_residuals, biholo_residuals, run_all, series_deviations
 from .analysis import (
     RAMADANOV_POINTS,
     diagonal_ratio,
@@ -42,15 +42,9 @@ from .domain import (
     sampling_acceptance,
 )
 from .kernels import THIN_VARIANT_DEFAULT, kernel
-from .oracle import (
-    NonconvergentTruncation,
-    inner_product_mc,
-    kernel_series,
-    parse_function,
-    reproducing_check,
-)
+from .oracle import NonconvergentTruncation, inner_product_mc, parse_function, reproducing_check
 from .polynomials import verify_coefficient_identities
-from .transforms import MapKind, ProperMap, biholo_residual, bell_residual
+from .transforms import MapKind, ProperMap
 
 SCHEMA_VERSION = 1
 
@@ -234,41 +228,20 @@ def _cmd_identities(args):
 
 
 def _cmd_series_compare(args):
-    spec = args.spec
-    if not spec.is_triangle:
-        raise DomainError(f"series comparison requires a Hartogs triangle, got {spec}")
-    cap = args.max_mod
-
-    def small(z, w):
-        return abs(z.z1 * w.z1.conjugate()) <= cap and abs(z.z2 * w.z2.conjugate()) <= cap
-
-    rows = []
-    worst = 0.0
-    for z, w in _pairs(spec, args.pairs, args.seed, keep=small):
-        closed = kernel(spec, z, w, thin_variant=args.thin_variant).value
-        series, trunc = kernel_series(spec, z, w, tol=args.series_tol)
-        dev = abs(series - closed) / abs(closed)
-        worst = max(worst, dev)
-        rows.append(
-            {
-                "z": _point_json(z),
-                "w": _point_json(w),
-                "closed": _cjson(closed),
-                "series": _cjson(series),
-                "rel_dev": dev,
-                "terms": trunc.terms_used,
-            }
-        )
-    results = {"max_rel_dev": worst, "tol": args.tol, "pairs": rows}
+    rows = series_deviations(args.spec, args.pairs, args.seed, args.max_mod, args.series_tol,
+                             args.thin_variant)
+    worst = max([0.0, *(dev for *_, dev in rows)])
+    pairs = [
+        {"z": _point_json(z), "w": _point_json(w), "closed": _cjson(closed),
+         "series": _cjson(series), "rel_dev": dev, "terms": trunc.terms_used}
+        for z, w, closed, series, trunc, dev in rows
+    ]
+    results = {"max_rel_dev": worst, "tol": args.tol, "pairs": pairs}
     return results, 0 if worst <= args.tol else 2
 
 
 def _cmd_bell_check(args):
-    classical = DomainSpec.classical()
-    fat = DomainSpec.fat(args.k)
-    zs = _pairs(classical, args.pairs, args.seed)
-    ws = _pairs(fat, args.pairs, args.seed + 1)
-    residuals = [bell_residual(args.k, z, w) for (z, _), (w, _) in zip(zs, ws)]
+    residuals = bell_residuals(args.k, args.pairs, args.seed, args.seed + 1)
     worst = max(residuals)
     results = {"k": args.k, "residuals": residuals, "max_residual": worst, "tol": args.tol}
     return results, 0 if worst <= args.tol else 2
@@ -282,10 +255,7 @@ def _cmd_biholo_check(args):
     m = ProperMap(kind, args.k if needs_k else None)
     src = args.src if args.src is not None else m.default_source
     dst = args.dst if args.dst is not None else m.default_target
-    residuals = [
-        biholo_residual(m, src, dst, z, w, thin_variant=args.thin_variant)
-        for z, w in _pairs(src, args.pairs, args.seed)
-    ]
+    residuals = biholo_residuals(m, src, dst, args.pairs, args.seed, args.thin_variant)
     worst = max(residuals)
     results = {
         "map": args.map,
@@ -348,6 +318,8 @@ def _cmd_lqk(args):
             "min_abs_numerator": rep.min_abs_numerator,
         }
         return results, 0 if rep.zero_hits == 0 else 2
+    if args.kmax < 2:
+        raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
     witnesses = [lqk_witness(k) for k in range(2, args.kmax + 1)]
     worst = max(w.numerator_abs for w in witnesses)
     results = {

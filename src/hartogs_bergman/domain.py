@@ -36,6 +36,7 @@ __all__ = [
     "sample_uniform",
     "sample_uniform_arrays",
     "sampling_acceptance",
+    "volume",
     "boundary_paths",
 ]
 
@@ -248,22 +249,19 @@ def boundary_distance(spec: DomainSpec, p: Point2C) -> float:
     r1, r2 = abs(p.z1), abs(p.z2)
     g = float(spec.gamma)
     if g >= 1.0:
-        def sq_dist(u: float) -> float:
+        def sq_dist(u):
             return (u - r1) ** 2 + (u**g - r2) ** 2
     else:
         e = 1.0 / g
 
-        def sq_dist(u: float) -> float:
+        def sq_dist(u):
             return (u**e - r1) ** 2 + (u - r2) ** 2
 
     # The squared distance need not be unimodal in u (two local minima can
     # coexist for steep curves), so bracket the global minimum on a coarse
     # grid before refining.
     grid = np.linspace(0.0, 1.0, 257)
-    if g >= 1.0:
-        vals = (grid - r1) ** 2 + (grid**g - r2) ** 2
-    else:
-        vals = (grid ** (1.0 / g) - r1) ** 2 + (grid - r2) ** 2
+    vals = sq_dist(grid)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -388,8 +386,8 @@ def sampling_acceptance(spec: DomainSpec, n_proposals: int, seed: int) -> float:
     return float(np.mean(_inside_mask(spec, c1, c2)))
 
 
-def _volume(spec: DomainSpec) -> float:
-    # Lebesgue volume; internal helper for the Monte Carlo integrators.
+def volume(spec: DomainSpec) -> float:
+    """Lebesgue volume: pi^2 gamma / (gamma + 1) for H(gamma), pi^2 for the bidiscs."""
     if spec.is_triangle:
         g = spec.gamma
         return math.pi**2 * float(g / (g + 1))

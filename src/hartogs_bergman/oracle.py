@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import DomainSpec, Point2C, _volume, require_inside, sample_chunks
+from .domain import DomainSpec, Point2C, require_inside, sample_chunks, volume
 from .kernels import (
     NEAR_SINGULAR_THRESHOLD,
     PI_SQ,
@@ -301,7 +301,7 @@ def inner_products_mc(
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
     pairs = tuple(pairs)
-    vol = _volume(spec)
+    vol = volume(spec)
     total = [0.0j] * len(pairs)
     sq_re = [0.0] * len(pairs)
     sq_im = [0.0] * len(pairs)
@@ -388,7 +388,7 @@ def reproducing_residuals_batch(
     for f in fs:
         if not is_admissible(spec, f.a, f.b):
             raise ValueError(f"{f.name} is not square-integrable on {spec}")
-    vol = _volume(spec)
+    vol = volume(spec)
     acc = [[0.0j for _ in zs] for _ in fs]
     excluded = [[0 for _ in zs] for _ in fs]
     for w1, w2 in sample_chunks(spec, n, seed, chunk):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from hartogs_bergman import cli
+from hartogs_bergman import acceptance
 from hartogs_bergman.acceptance import criterion_2_fat_series
 from hartogs_bergman.cli import main
 from hartogs_bergman.oracle import NonconvergentTruncation
@@ -91,7 +92,7 @@ class TestChecks:
         def no_tail(*args, **kwargs):
             raise NonconvergentTruncation("tail bound 1e-3 still above tolerance")
 
-        monkeypatch.setattr(cli, "kernel_series", no_tail)
+        monkeypatch.setattr(acceptance, "kernel_series", no_tail)
         report = tmp_path / "report.json"
         code, out, err = run(
             capsys, "--out", str(report), "series-compare", "--spec", "thin:2", "--pairs", "3",
@@ -101,6 +102,41 @@ class TestChecks:
         assert out == ""
         assert err.startswith("hartogs-bergman series-compare: error: tail bound")
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series-compare", "--spec", "fat:2", "--pairs", "0"),
+            ("series-compare", "--spec", "fat:2", "--pairs", "-3"),
+            ("bell-check", "--pairs", "0"),
+            ("biholo-check", "--map", "shear", "--pairs", "0"),
+            ("lqk", "--kmax", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_check_with_nothing_to_check_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"hartogs-bergman {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("cap", ["0", "-0.1", "nan"])
+    def test_series_compare_rejects_bad_max_mod_at_once(self, capsys, cap):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "series-compare", "--spec", "fat:2", "--max-mod", cap)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert "max_mod must be > 0" in err
+
+    def test_rare_pair_filter_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "_PAIR_ROUNDS", 3)
+        code, out, err = run(
+            capsys, "series-compare", "--spec", "fat:2", "--pairs", "1", "--max-mod", "1e-300"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("hartogs-bergman series-compare: error: pair filter on fat:2")
 
     def test_lqk_witnesses(self, capsys):
         code, doc, _ = run_json(capsys, "lqk", "--kmax", "10")

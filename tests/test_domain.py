@@ -27,9 +27,9 @@ from hartogs_bergman.domain import (
     BOUNDARY_MARGIN,
     _fill_uniform,
     _inside_mask,
-    _volume,
     require_inside,
     sample_uniform_arrays,
+    volume,
 )
 
 TRIANGLES = [
@@ -286,7 +286,7 @@ class TestSampling:
             lambda r2: 0.0,
             lambda r2: r2 ** (1.0 / g),
         )
-        assert _volume(spec) == pytest.approx(vol, rel=1e-9)
+        assert volume(spec) == pytest.approx(vol, rel=1e-9)
         acc = sampling_acceptance(spec, 500_000, seed=13)
         assert acc == pytest.approx(vol / math.pi**2, abs=0.01)
 

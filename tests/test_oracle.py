@@ -12,7 +12,7 @@ from hartogs_bergman import (
     bergman_thin,
 )
 from hartogs_bergman import cli, oracle
-from hartogs_bergman.domain import _volume, sample_uniform_arrays
+from hartogs_bergman.domain import sample_uniform_arrays, volume
 from hartogs_bergman.kernels import kernel_num_den
 from hartogs_bergman.oracle import (
     Monomial,
@@ -295,7 +295,7 @@ class TestInnerProductsBatch:
         one = Monomial(0, 0)
         est = inner_products_mc(spec, [(Monomial(1, 0), one), (one, one)], 5_000, seed=13)[1]
         assert est.std_error == 0.0
-        assert est.value == _volume(spec)
+        assert est.value == volume(spec)
 
     def test_requires_minimum_samples(self):
         with pytest.raises(ValueError):
@@ -348,7 +348,7 @@ class TestReproducing:
         monkeypatch.setattr(oracle, "NEAR_SINGULAR_THRESHOLD", threshold)
         rep = reproducing_check(spec, Monomial(0, 0), z, n, seed)
         assert rep.excluded == n - ok.sum() > 0
-        expected = _volume(spec) * np.sum(num[ok] / den[ok]) / ok.sum()
+        expected = volume(spec) * np.sum(num[ok] / den[ok]) / ok.sum()
         assert rep.estimate == pytest.approx(expected, rel=1e-12)
 
 
