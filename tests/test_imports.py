@@ -29,10 +29,6 @@ def private_imports(path: Path):
                 yield (path.stem, source, alias.name)
 
 
-def test_modules_are_found():
-    assert {"acceptance", "cli", "domain", "oracle"} <= {p.stem for p in PACKAGE_DIR.glob("*.py")}
-
-
 def test_no_private_cross_module_imports():
     found = {imp for path in PACKAGE_DIR.glob("*.py") for imp in private_imports(path)}
     assert found == ALLOWED
