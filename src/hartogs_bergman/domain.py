@@ -331,7 +331,7 @@ def sample_uniform_arrays(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarr
     return _fill_uniform(rng, spec, n)
 
 
-def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
+def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int, *, helper=None):
     """Yield n uniform points as (z1, z2) array chunks of length chunk (the last may be shorter).
 
     The chunks are the successive ``_fill_uniform`` draws of one
@@ -340,8 +340,17 @@ def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
     the caller works on chunk k: numpy's generator and ufuncs release the
     interpreter lock, so sampling and evaluation overlap.  Only one thread
     touches the generator at a time, in chunk order, so the points do not
-    depend on timing.  The helper lives only while the stream is open;
-    closing the stream early waits for the draw in flight and joins it.
+    depend on timing.
+
+    ``helper`` is an optional one-worker ``concurrent.futures`` executor
+    owned by the caller; without one the stream makes its own, which lives
+    only while the stream is open (closing the stream early waits for the
+    draw in flight and joins the thread).  The draw of chunk k + 1 is
+    submitted before chunk k is yielded, and a one-worker executor runs
+    tasks in order, so a task the caller submits on receiving chunk k runs
+    as soon as that draw is done: the idle helper can then share the
+    caller's work on chunk k.  A one-chunk stream is drawn in the calling
+    thread and submits nothing.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -352,16 +361,24 @@ def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
     if len(sizes) == 1:
         yield _fill_uniform(rng, spec, n)
         return
+    if helper is not None:
+        yield from _draw_ahead(helper, rng, spec, sizes)
+        return
     # Imported on first use so that importing the package stays as cheap as before.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        ahead = helper.submit(_fill_uniform, rng, spec, sizes[0])
-        for m in sizes[1:]:
-            ready = ahead.result()
-            ahead = helper.submit(_fill_uniform, rng, spec, m)
-            yield ready
-        yield ahead.result()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as own:
+        yield from _draw_ahead(own, rng, spec, sizes)
+
+
+def _draw_ahead(helper, rng: np.random.Generator, spec: DomainSpec, sizes: list[int]):
+    # Each chunk's draw is submitted before the previous chunk is yielded.
+    ahead = helper.submit(_fill_uniform, rng, spec, sizes[0])
+    for m in sizes[1:]:
+        ready = ahead.result()
+        ahead = helper.submit(_fill_uniform, rng, spec, m)
+        yield ready
+    yield ahead.result()
 
 
 def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:

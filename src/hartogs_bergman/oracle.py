@@ -78,9 +78,16 @@ def is_admissible(spec: DomainSpec, a: int, b: int) -> bool:
 
 def b_min(spec: DomainSpec, a: int) -> int:
     """Smallest admissible z2-power for a given z1-power."""
-    g = _require_triangle(spec)
-    bound = Fraction(-1) - Fraction(a + 1) / g
-    return math.floor(bound) + 1
+    return _b_min(_require_triangle(spec), a)
+
+
+def _b_min(g: Fraction, a: int) -> int:
+    # floor(-1 - (a+1)/g) + 1 = -ceil((a+1) q / p) for g = p/q, exactly, in
+    # Python ints with no Fraction per row.  A Python int also keeps
+    # ``t ** b`` on Python's complex power; a numpy integer exponent would
+    # take numpy's power, whose last bit can differ.
+    p, q = g.numerator, g.denominator
+    return -(((a + 1) * q + p - 1) // p)
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ class SeriesTruncation:
 def _sum_rectangle(spec: DomainSpec, s: complex, t: complex, a_max: int, b_max: int):
     g = _require_triangle(spec)
     gf = float(g)
-    bmins = [b_min(spec, a) for a in range(a_max + 1)]
+    bmins = [_b_min(g, a) for a in range(a_max + 1)]
     # Longest row: b_min is nonincreasing in a.
     tpow = np.power(t, np.arange(b_max - bmins[-1] + 1))
     total = 0.0j
@@ -191,10 +198,13 @@ def kernel_series(
     With explicit a_max/b_max the given rectangle is summed; otherwise the
     rectangle doubles until the tail bound drops below
     tol * max(1, |partial sum|).  A tail bound that cannot meet the
-    tolerance raises NonconvergentTruncation.
+    tolerance raises NonconvergentTruncation.  A tolerance that is not
+    positive (zero, negative or NaN) raises ValueError before any summing.
     """
     if (a_max is None) != (b_max is None):
         raise ValueError("give both a_max and b_max, or neither for auto truncation")
+    if tol is not None and not tol > 0:
+        raise ValueError(f"series tolerance must be > 0, got {tol}")
     if check:
         require_inside(spec, z, name="z")
         require_inside(spec, w, name="w")
@@ -376,10 +386,19 @@ def reproducing_residuals_batch(
 
     Returns reports[i][j] for fs[i] and zs[j].  Sharing the stream keeps a
     10^7-sample battery affordable; estimates for different combinations
-    are correlated but individually unbiased.  The kernel is evaluated in
-    cache-sized sub-blocks of each chunk, written into one chunk-length
-    array, and each sum runs over the whole chunk, so the sub-block size
-    does not change a bit of any estimate.
+    are correlated but individually unbiased.
+
+    The stream's helper thread draws chunk k + 1 and then helps evaluate
+    chunk k: the caller and the helper claim the points z of the chunk one
+    at a time from one shared iterator, and the caller waits for the
+    helper's points before it moves to the next chunk.  A point is
+    evaluated entirely by the thread that claimed it.  The kernel is
+    evaluated in cache-sized sub-blocks, written into that thread's
+    chunk-length array, and each sum runs over the whole chunk, so neither
+    the sub-block size nor the thread changes a bit of any estimate.  The
+    last (or only) chunk has no draw ahead of it, so the helper joins at
+    once.  When sampling is the slower half, the caller has claimed every
+    point before the helper is free, and the helper only draws.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -391,16 +410,29 @@ def reproducing_residuals_batch(
     vol = volume(spec)
     acc = [[0.0j for _ in zs] for _ in fs]
     excluded = [[0 for _ in zs] for _ in fs]
-    for w1, w2 in sample_chunks(spec, n, seed, chunk):
-        w1c, w2c = np.conj(w1), np.conj(w2)
-        fvals = [f(w1, w2) for f in fs]
-        kvals = np.empty_like(w1c)
-        for j, z in enumerate(zs):
+    # One (kvals, prod) pair per thread, reused for every chunk.  Each
+    # accumulator cell (i, j) is written only by the thread that claimed
+    # z_j, and the caller reads the helper's cells after share.result(),
+    # so the accumulators need no lock.
+    length = min(chunk, n)
+    mine = (np.empty(length, dtype=np.complex128), np.empty(length, dtype=np.complex128))
+    theirs = (np.empty(length, dtype=np.complex128), np.empty(length, dtype=np.complex128))
+
+    def evaluate(claims, w1, w2, fvals, buffers):
+        m = len(w1)
+        kvals, prod = buffers[0][:m], buffers[1][:m]
+        for j in claims:
+            z = zs[j]
             bad = 0
-            for lo in range(0, len(kvals), _EVAL_BLOCK):
+            for lo in range(0, m, _EVAL_BLOCK):
                 block = slice(lo, lo + _EVAL_BLOCK)
-                s = z.z1 * w1c[block]
-                t = z.z2 * w2c[block]
+                # Bound names, not bare temporaries: numpy would reuse a
+                # temporary for the product with the operands swapped,
+                # which changes the rounding.
+                w1c = np.conj(w1[block])
+                w2c = np.conj(w2[block])
+                s = z.z1 * w1c
+                t = z.z2 * w2c
                 num, den = kernel_num_den(spec, s, t, thin_variant)
                 ok = np.abs(den) >= NEAR_SINGULAR_THRESHOLD
                 block_bad = ok.size - int(np.count_nonzero(ok))
@@ -409,8 +441,29 @@ def reproducing_residuals_batch(
                 np.divide(num, den, out=kvals[block])
                 bad += block_bad
             for i in range(len(fs)):
-                acc[i][j] += complex(np.sum(kvals * fvals[i]))
+                np.multiply(kvals, fvals[i], out=prod)
+                acc[i][j] += complex(np.sum(prod))
                 excluded[i][j] += bad
+
+    # Imported on first use so that importing the package stays as cheap as before.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
+        for w1, w2 in sample_chunks(spec, n, seed, chunk, helper=helper):
+            fvals = [f(w1, w2) for f in fs]
+            claims = iter(range(len(zs)))
+            # Queued behind the draw of the next chunk, if there is one.
+            share = helper.submit(evaluate, claims, w1, w2, fvals, theirs)
+            try:
+                evaluate(claims, w1, w2, fvals, mine)
+            finally:
+                # After an error, leave the helper no further point to claim.
+                for _ in claims:
+                    pass
+            share.result()
+            # Freed before the next chunk's values are made, not after:
+            # the two sets are never resident together.
+            del fvals
     out = []
     for i, f in enumerate(fs):
         row = []

@@ -129,6 +129,17 @@ class TestChecks:
         assert out == ""
         assert "max_mod must be > 0" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_series_compare_rejects_bad_series_tol_at_once(self, capsys, tol):
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "series-compare", "--spec", "fat:2", "--pairs", "1", "--series-tol", tol
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert "series tolerance must be > 0" in err
+
     def test_rare_pair_filter_is_an_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "_PAIR_ROUNDS", 3)
         code, out, err = run(

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,6 +364,31 @@ class TestSampleChunks:
         helpers[0].join(timeout=30.0)
         assert not helpers[0].is_alive()
         assert threading.active_count() == before
+
+    def test_caller_owned_helper_runs_caller_tasks_after_the_next_draw(self, monkeypatch):
+        drawn = []
+
+        def counting(rng, spec, n):
+            out = _fill_uniform(rng, spec, n)
+            drawn.append(n)
+            return out
+
+        monkeypatch.setattr(domain, "_fill_uniform", counting)
+        before = threading.active_count()
+        seen = []
+        got = []
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="caller") as helper:
+            for z1, z2 in sample_chunks(self.SPEC, 25_001, seed=45, chunk=10_000, helper=helper):
+                # Runs on the helper once the draw of the next chunk is done.
+                seen.append(helper.submit(len, drawn))
+                got.append((z1, z2))
+                assert _helper_threads() == []
+        assert [f.result() for f in seen] == [2, 3, 3]
+        assert threading.active_count() == before
+        expected = self._sequential(25_001, 45, 10_000)
+        for (z1, z2), (e1, e2) in zip(got, expected, strict=True):
+            assert z1.tobytes() == e1.tobytes()
+            assert z2.tobytes() == e2.tobytes()
 
     @pytest.mark.parametrize("n, chunk", [(0, 10), (10, 0)])
     def test_rejects_empty_stream_or_chunk(self, n, chunk):

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import sys
+import threading
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +61,18 @@ class TestAdmissibility:
         assert b_min(DomainSpec.thin(2), 3) == -8  # must exceed -1 - 4*2 = -9
         assert b_min(DomainSpec.fat(2), 0) == -1
         assert b_min(DomainSpec.fat(3), 4) == -2  # bound -1 - 5/3
+
+    @pytest.mark.parametrize(
+        "spec", [DomainSpec.fat(k) for k in range(1, 9)] + [DomainSpec.thin(k) for k in range(2, 6)],
+        ids=str,
+    )
+    def test_b_min_matches_fraction_formula(self, spec):
+        g = spec.gamma
+        for a in range(3000):
+            expected = math.floor(Fraction(-1) - Fraction(a + 1) / g) + 1
+            got = b_min(spec, a)
+            assert type(got) is int
+            assert got == expected
 
     def test_enumeration_matches_b_min(self):
         spec = DomainSpec.fat(2)
@@ -187,6 +203,16 @@ class TestSeries:
     def test_rejects_half_specified_rectangle(self):
         with pytest.raises(ValueError):
             kernel_series(DomainSpec.fat(2), Point2C(0.1, 0.5), Point2C(0.1, 0.5), a_max=10)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+    @pytest.mark.parametrize("rect", [None, 40])
+    def test_bad_tolerance_raises_at_once(self, tol, rect):
+        spec = DomainSpec.fat(2)
+        z = Point2C(0.1, 0.5)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="series tolerance must be > 0"):
+            kernel_series(spec, z, z, a_max=rect, b_max=rect, tol=tol)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestFunctionParsing:
@@ -400,3 +426,128 @@ def test_reproducing_batch_golden(key, monkeypatch):
     )
     got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
     assert got == GOLDEN_REPRODUCING[key]
+
+
+class TestHandOff:
+    """The stream's helper thread shares the evaluation of each chunk's points."""
+
+    SPEC = DomainSpec.fat(2)
+    FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+    ZS = (
+        Point2C(0.05, 0.6),
+        Point2C(0.1 + 0.05j, 0.7j),
+        Point2C(-0.2 + 0.1j, 0.5 - 0.3j),
+        Point2C(0.3j, -0.8),
+        Point2C(0.15 - 0.25j, 0.45 + 0.45j),
+        Point2C(0.0, 0.2 + 0.1j),
+    )
+
+    @staticmethod
+    def _patch_kernel(monkeypatch, on_call):
+        # Wraps oracle.kernel_num_den; on_call(is_caller) runs before each call.
+        caller = threading.get_ident()
+
+        def patched(*args, **kwargs):
+            on_call(threading.get_ident() == caller)
+            return kernel_num_den(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "kernel_num_den", patched)
+
+    def test_split_batch_equals_one_point_batches(self, monkeypatch):
+        # The caller's first kernel call waits until the helper has made
+        # one, so the helper evaluates at least one point of the batch.
+        helper_started = threading.Event()
+        threads = set()
+
+        def on_call(is_caller):
+            threads.add(threading.get_ident())
+            if is_caller:
+                assert helper_started.wait(timeout=30.0)
+            else:
+                helper_started.set()
+
+        n = 2_000_001  # two full default chunks and a partial one
+        with monkeypatch.context() as m:
+            self._patch_kernel(m, on_call)
+            batch = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed=37)
+        assert len(threads) == 2
+        for j, z in enumerate(self.ZS):
+            single = oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=37)
+            for i in range(len(self.FS)):
+                got, want = batch[i][j], single[i][0]
+                assert repr((got.estimate, got.residual, got.excluded)) == repr(
+                    (want.estimate, want.residual, want.excluded)
+                )
+
+    def test_concurrent_batches_under_short_switch_interval(self):
+        # Three callers, each with its own helper: six threads on the
+        # machine's cores, switching every microsecond.  A point claimed
+        # twice or lost, or a buffer shared between threads, changes bits.
+        n, chunk = 30_001, 10_000
+        want = [
+            oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40, chunk=chunk)
+            for z in self.ZS
+        ]
+        results = {}
+
+        def run(key):
+            results[key] = oracle.reproducing_residuals_batch(
+                self.SPEC, self.FS, self.ZS, n, seed=40, chunk=chunk
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(key,)) for key in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert sorted(results) == [0, 1, 2]
+        for batch in results.values():
+            for j in range(len(self.ZS)):
+                for i in range(len(self.FS)):
+                    assert repr(batch[i][j]) == repr(want[j][i][0])
+
+    def test_at_most_one_thread_besides_the_caller(self, monkeypatch):
+        before = threading.active_count()
+        threads = set()
+        counts = []
+
+        def on_call(is_caller):
+            threads.add(threading.get_ident())
+            counts.append(threading.active_count())
+
+        self._patch_kernel(monkeypatch, on_call)
+        oracle.reproducing_residuals_batch(
+            self.SPEC, self.FS, self.ZS, 30_001, seed=38, chunk=10_000
+        )
+        assert counts and max(counts) <= before + 1
+        assert len(threads) <= 2
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_caller_and_helper_is_joined(self, monkeypatch):
+        before = threading.active_count()
+        helper_failed = threading.Event()
+        helpers = []
+
+        def on_call(is_caller):
+            if is_caller:
+                assert helper_failed.wait(timeout=30.0)
+                return
+            helpers.append(threading.current_thread())
+            helper_failed.set()
+            raise RuntimeError("helper evaluation failed")
+
+        self._patch_kernel(monkeypatch, on_call)
+        with pytest.raises(RuntimeError, match="helper evaluation failed"):
+            oracle.reproducing_residuals_batch(
+                self.SPEC, self.FS, self.ZS, 30_001, seed=39, chunk=10_000
+            )
+        assert len(helpers) == 1
+        helpers[0].join(timeout=30.0)
+        assert not helpers[0].is_alive()
+        assert threading.active_count() == before
