@@ -23,7 +23,7 @@ from .analysis import (
     ramadanov_table,
     thin_nonvanishing,
 )
-from .domain import DomainError, DomainSpec, PathKind, Point2C, boundary_paths, _fill_uniform
+from .domain import DomainError, DomainSpec, PathKind, Point2C, boundary_paths, sample_chunks
 from .kernels import THIN_VARIANT_DEFAULT, ThinVariant, bergman_reference, bergman_thin, kernel
 from .oracle import (
     Monomial,
@@ -62,10 +62,8 @@ def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None, batch: int = 51
     """First n_pairs of independent uniform point pairs passing a filter."""
     if n_pairs < 1:
         raise ValueError(f"pair count must be >= 1, got {n_pairs}")
-    rng = np.random.default_rng(seed)
     out = []
-    for _ in range(_PAIR_ROUNDS):
-        z1, z2 = _fill_uniform(rng, spec, 2 * batch)
+    for z1, z2 in sample_chunks(spec, _PAIR_ROUNDS * 2 * batch, seed, 2 * batch):
         for i in range(batch):
             z = Point2C(z1[i], z2[i])
             w = Point2C(z1[batch + i], z2[batch + i])

@@ -6,8 +6,8 @@ as {"schema_version", "command", "params", "results"}, CSV with a leading
 to stderr so the payload stays byte-identical across runs.
 
 Exit codes: 0 success, 1 usage or domain errors, 2 failed verification
-checks (residual or tolerance exceeded, or a kernel series whose tail
-bound cannot meet its tolerance; no report is written then).
+checks (residual or tolerance exceeded, or a value that cannot be
+certified; no report is written then).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .domain import (
     boundary_paths,
     sampling_acceptance,
 )
-from .kernels import THIN_VARIANT_DEFAULT, kernel
+from .kernels import THIN_VARIANT_DEFAULT, SingularEvaluation, kernel
 from .oracle import NonconvergentTruncation, inner_product_mc, parse_function, reproducing_check
 from .polynomials import verify_coefficient_identities
 from .transforms import MapKind, ProperMap
@@ -72,6 +72,17 @@ def _complex_arg(text: str) -> complex:
         return complex(float(re_part), float(im_part))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from None
+
+
+def _tolerance_arg(text: str) -> float:
+    # "not >= 0" also rejects NaN, which would fail every "worst <= tol" check.
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
 
 
 def _spec_arg(text: str) -> DomainSpec:
@@ -107,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", type=_spec_arg, required=True)
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-6, help="relative deviation bound")
+    p.add_argument("--tol", type=_tolerance_arg, default=1e-6, help="relative deviation bound")
     p.add_argument("--series-tol", type=float, default=1e-10)
     p.add_argument("--max-mod", type=float, default=0.4, help="bound on |s| and |t| of pairs")
     p.add_argument("--thin-variant", choices=("1-t", "1-s"), default=THIN_VARIANT_DEFAULT)
@@ -116,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance_arg, default=1e-9)
 
     p = sub.add_parser("inner-product", help="Monte Carlo inner product of two test functions")
     p.add_argument("--spec", type=_spec_arg, required=True)
@@ -132,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RE,IM")
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=0.02)
+    p.add_argument("--tol", type=_tolerance_arg, default=0.02)
 
     p = sub.add_parser("biholo-check", help="biholomorphic transformation residuals")
     p.add_argument("--map", choices=sorted(_MAPS), required=True)
@@ -141,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dst", type=_spec_arg, help="target domain (default: the map's own)")
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance_arg, default=1e-12)
     p.add_argument("--thin-variant", choices=("1-t", "1-s"), default=THIN_VARIANT_DEFAULT)
 
     p = sub.add_parser("lqk", help="kernel zero witnesses / thin nonvanishing scan")
@@ -149,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin-k", type=int, help="scan the thin triangle of this exponent instead")
     p.add_argument("--pairs", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance_arg, default=1e-12)
 
     p = sub.add_parser("zero-scan", help="numerator zero locus over a real-s slice (CSV)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--s-points", type=int, default=101)
     p.add_argument("--t-abs", type=float, help="additionally scan the circle |t| = T")
     p.add_argument("--t-points", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance_arg, default=1e-8)
 
     p = sub.add_parser("asymptotics", help="diagonal blow-up ratios along a boundary path (CSV)")
     p.add_argument("--spec", type=_spec_arg, required=True)
@@ -164,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--compare", choices=("face", "delta"), default="face",
                    help="face: boundary-face comparison quantity; delta: squared distance")
-    p.add_argument("--bound", type=float, default=10.0, help="tail quotient bound")
+    p.add_argument("--bound", type=_tolerance_arg, default=10.0, help="tail quotient bound")
 
     p = sub.add_parser("ramadanov", help="kernel convergence table in the exponent (CSV)")
     p.add_argument("--kmax", type=int, default=25)
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", type=_spec_arg, required=True)
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=0.01)
+    p.add_argument("--tol", type=_tolerance_arg, default=0.01)
 
     p = sub.add_parser("reproduce", help="run the full acceptance battery")
     p.add_argument("--only", type=int, nargs="*", help="criterion numbers to run")
@@ -470,8 +481,8 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, OverflowError) as exc:
         print(f"hartogs-bergman {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except NonconvergentTruncation as exc:
-        # A series that cannot certify its tail is a failed check, not a crash.
+    except (NonconvergentTruncation, SingularEvaluation) as exc:
+        # A series tail or a kernel value that cannot be certified is a failed check.
         print(f"hartogs-bergman {args.command}: error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args)

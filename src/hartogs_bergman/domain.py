@@ -325,60 +325,24 @@ def _fill_uniform(
 
 def sample_uniform_arrays(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Array form of sample_uniform: two complex arrays (z1, z2) of length n."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return _fill_uniform(rng, spec, n)
+    return next(sample_chunks(spec, n, seed, n))
 
 
-def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int, *, helper=None):
+def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
     """Yield n uniform points as (z1, z2) array chunks of length chunk (the last may be shorter).
 
     The chunks are the successive ``_fill_uniform`` draws of one
     ``default_rng(seed)``, so the stream is fixed by (spec, n, seed, chunk).
-    With two or more chunks a single helper thread draws chunk k + 1 while
-    the caller works on chunk k: numpy's generator and ufuncs release the
-    interpreter lock, so sampling and evaluation overlap.  Only one thread
-    touches the generator at a time, in chunk order, so the points do not
-    depend on timing.
-
-    ``helper`` is an optional one-worker ``concurrent.futures`` executor
-    owned by the caller; without one the stream makes its own, which lives
-    only while the stream is open (closing the stream early waits for the
-    draw in flight and joins the thread).  The draw of chunk k + 1 is
-    submitted before chunk k is yielded, and a one-worker executor runs
-    tasks in order, so a task the caller submits on receiving chunk k runs
-    as soon as that draw is done: the idle helper can then share the
-    caller's work on chunk k.  A one-chunk stream is drawn in the calling
-    thread and submits nothing.
+    Each chunk is drawn when it is asked for, in the thread that asks; the
+    stream starts no thread of its own.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if chunk < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk}")
     rng = np.random.default_rng(seed)
-    sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
-    if len(sizes) == 1:
-        yield _fill_uniform(rng, spec, n)
-        return
-    if helper is not None:
-        yield from _draw_ahead(helper, rng, spec, sizes)
-        return
-    # Imported on first use so that importing the package stays as cheap as before.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as own:
-        yield from _draw_ahead(own, rng, spec, sizes)
-
-
-def _draw_ahead(helper, rng: np.random.Generator, spec: DomainSpec, sizes: list[int]):
-    # Each chunk's draw is submitted before the previous chunk is yielded.
-    ahead = helper.submit(_fill_uniform, rng, spec, sizes[0])
-    for m in sizes[1:]:
-        ready = ahead.result()
-        ahead = helper.submit(_fill_uniform, rng, spec, m)
-        yield ready
-    yield ahead.result()
+    for lo in range(0, n, chunk):
+        yield _fill_uniform(rng, spec, min(chunk, n - lo))
 
 
 def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:
@@ -458,9 +422,10 @@ def boundary_paths(spec: DomainSpec, which: PathKind, steps: int = 20) -> Bounda
         pts = [Point2C((1.0 - e) ** (2.0 / g), 1.0 - e) for e in eps]
     else:
         raise ValueError(f"unknown path kind {which!r}")
-    for q in pts:
+    for m, q in enumerate(pts, 1):
         if not contains(spec, q):
-            raise RuntimeError(f"path sample ({q.z1}, {q.z2}) escaped {spec}")
+            raise ValueError(f"step {m} of the {which.value} path is not inside {spec}: "
+                             f"double precision resolves {m - 1} steps")
     dists = [abs(q.z1 - target.z1) ** 2 + abs(q.z2 - target.z2) ** 2 for q in pts]
     if any(b >= a for a, b in zip(dists, dists[1:])):
         raise RuntimeError("path samples must approach the target strictly")

@@ -306,7 +306,9 @@ def inner_products_mc(
 
     Each distinct function is evaluated once per chunk.  Estimates for
     different pairs are correlated but individually unbiased, and each is
-    bit-identical to a single-pair call with the same seed.
+    bit-identical to a single-pair call with the same seed.  A helper
+    thread draws chunk k + 1 while the caller evaluates chunk k
+    (``_drawn_ahead``).
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -315,26 +317,45 @@ def inner_products_mc(
     total = [0.0j] * len(pairs)
     sq_re = [0.0] * len(pairs)
     sq_im = [0.0] * len(pairs)
-    for z1, z2 in sample_chunks(spec, n, seed, chunk):
-        memo = {}
-        for i, (f, g) in enumerate(pairs):
-            for h in (f, g):
-                if h not in memo:
-                    memo[h] = h(z1, z2)
-            # Binding conj(g) first keeps the product's operand order: a
-            # bare temporary on the right lets numpy reuse it for the
-            # result with the operands swapped, which changes the rounding.
-            gc = np.conj(memo[g])
-            vals = memo[f] * gc
-            total[i] += vals.sum()
-            sq_re[i] += float(np.dot(vals.real, vals.real))
-            sq_im[i] += float(np.dot(vals.imag, vals.imag))
+    # Imported on first use so that importing the package stays as cheap as before.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
+        for z1, z2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, chunk)):
+            memo = {}
+            for i, (f, g) in enumerate(pairs):
+                for h in (f, g):
+                    if h not in memo:
+                        memo[h] = h(z1, z2)
+                # Binding conj(g) first keeps the product's operand order: a
+                # bare temporary on the right lets numpy reuse it for the
+                # result with the operands swapped, which changes the rounding.
+                gc = np.conj(memo[g])
+                vals = memo[f] * gc
+                total[i] += vals.sum()
+                sq_re[i] += float(np.dot(vals.real, vals.real))
+                sq_im[i] += float(np.dot(vals.imag, vals.imag))
     out = []
     for t, sr, si in zip(total, sq_re, sq_im):
         mean = t / n
         var = max(sr / n - mean.real**2, 0.0) + max(si / n - mean.imag**2, 0.0)
         out.append(McEstimate(vol * mean, vol * math.sqrt(var / n), n, seed))
     return out
+
+
+def _drawn_ahead(helper, chunks):
+    """Yield the chunks of ``chunks``, each drawn on ``helper`` one chunk ahead.
+
+    ``helper``, a one-worker executor, is the only thread that advances
+    ``chunks``, so the points do not depend on timing; numpy releases the
+    interpreter lock, so each draw overlaps the caller's work.  It runs
+    tasks in order: a task the caller submits on receiving chunk k runs as
+    soon as the draw of chunk k + 1 is done (at once after the last chunk).
+    """
+    ahead = helper.submit(next, chunks, None)
+    while (ready := ahead.result()) is not None:
+        ahead = helper.submit(next, chunks, None)
+        yield ready
 
 
 # Elements per kernel evaluation in reproducing_residuals_batch: 256 KiB of
@@ -388,10 +409,10 @@ def reproducing_residuals_batch(
     10^7-sample battery affordable; estimates for different combinations
     are correlated but individually unbiased.
 
-    The stream's helper thread draws chunk k + 1 and then helps evaluate
-    chunk k: the caller and the helper claim the points z of the chunk one
-    at a time from one shared iterator, and the caller waits for the
-    helper's points before it moves to the next chunk.  A point is
+    A helper thread draws chunk k + 1 (``_drawn_ahead``) and then helps
+    evaluate chunk k: the caller and the helper claim the points z of the
+    chunk one at a time from one shared iterator, and the caller waits for
+    the helper's points before it moves to the next chunk.  A point is
     evaluated entirely by the thread that claimed it.  The kernel is
     evaluated in cache-sized sub-blocks, written into that thread's
     chunk-length array, and each sum runs over the whole chunk, so neither
@@ -449,7 +470,7 @@ def reproducing_residuals_batch(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        for w1, w2 in sample_chunks(spec, n, seed, chunk, helper=helper):
+        for w1, w2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, chunk)):
             fvals = [f(w1, w2) for f in fs]
             claims = iter(range(len(zs)))
             # Queued behind the draw of the next chunk, if there is one.

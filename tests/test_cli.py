@@ -140,6 +140,40 @@ class TestChecks:
         assert out == ""
         assert "series tolerance must be > 0" in err
 
+    def test_near_singular_residual_exits_two(self, capsys, tmp_path):
+        # Pair 250 has |z2| = 4e-4: a thin:4 denominator falls below the
+        # absolute near-singular threshold.
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "--out", str(report), "biholo-check", "--map", "shear-iter-inv", "--k", "4",
+            "--pairs", "300", "--seed", "514032"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("hartogs-bergman biholo-check: error: a kernel evaluation")
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bell-check", "--tol", "nan"),
+            ("biholo-check", "--map", "shear", "--tol", "-1"),
+            ("series-compare", "--spec", "fat:2", "--tol", "nan"),
+            ("lqk", "--kmax", "3", "--tol", "nan"),
+            ("asymptotics", "--spec", "fat:2", "--bound", "nan"),
+            ("volume", "--spec", "fat:2", "--tol", "-0.5"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_tolerance_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a number >= 0" in captured.err
+
     def test_rare_pair_filter_is_an_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "_PAIR_ROUNDS", 3)
         code, out, err = run(
@@ -275,6 +309,12 @@ class TestCsvCommands:
                            "--compare", "delta")
         assert code == 1
         assert "origin" in err
+
+    def test_asymptotics_unresolvable_steps_exit_one(self, capsys):
+        code, out, err = run(capsys, "asymptotics", "--spec", "fat:2", "--steps", "47")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("hartogs-bergman asymptotics: error: step 47 of the origin path")
 
     def test_ramadanov_csv(self, capsys):
         code, out, _ = run(capsys, "ramadanov", "--kmax", "5")

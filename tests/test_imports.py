@@ -7,10 +7,9 @@ import hartogs_bergman
 
 PACKAGE_DIR = Path(hartogs_bergman.__file__).parent
 
-# (importing module, defining module, private name).  The one exception:
-# the sampler's rejection loop moves into domain together with _pairs
-# (ROADMAP item 4), which waits on the benchmark that traces _pairs by name.
-ALLOWED = {("acceptance", "domain", "_fill_uniform")}
+# Private names allowed to cross a module boundary, as (importing module,
+# defining module, name) triples: none.
+ALLOWED = set()
 
 
 def private_imports(path: Path):

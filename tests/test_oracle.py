@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,8 @@ from hartogs_bergman import (
     bergman_fat,
     bergman_thin,
 )
-from hartogs_bergman import cli, oracle
-from hartogs_bergman.domain import sample_uniform_arrays, volume
+from hartogs_bergman import cli, domain, oracle
+from hartogs_bergman.domain import _fill_uniform, sample_chunks, sample_uniform_arrays, volume
 from hartogs_bergman.kernels import kernel_num_den
 from hartogs_bergman.oracle import (
     Monomial,
@@ -199,6 +200,12 @@ class TestSeries:
         z = Point2C(0.3, 0.8)
         with pytest.raises(NonconvergentTruncation):
             kernel_series(spec, z, z, a_max=4, b_max=4, tol=1e-10)
+
+    def test_auto_truncation_raises_at_max_rect(self):
+        # |t| = 0.98: the tail after 64 powers is still ~0.98^65.
+        z = Point2C(0.0, 0.99)
+        with pytest.raises(NonconvergentTruncation, match=r"at rectangle \(64, 64\)"):
+            kernel_series(DomainSpec.fat(2), z, z, tol=1e-8, max_rect=64)
 
     def test_rejects_half_specified_rectangle(self):
         with pytest.raises(ValueError):
@@ -550,4 +557,95 @@ class TestHandOff:
         assert len(helpers) == 1
         helpers[0].join(timeout=30.0)
         assert not helpers[0].is_alive()
+        assert threading.active_count() == before
+
+
+class TestDrawAhead:
+    """The integrators read the plain stream through one helper thread that draws ahead."""
+
+    SPEC = DomainSpec.thin(3)  # acceptance 1/4: each chunk takes several rounds
+
+    def test_caller_tasks_run_after_the_next_draw(self, monkeypatch):
+        drawn = []
+
+        def counting(rng, spec, n):
+            out = _fill_uniform(rng, spec, n)
+            drawn.append(n)
+            return out
+
+        monkeypatch.setattr(domain, "_fill_uniform", counting)
+        before = threading.active_count()
+        seen = []
+        got = []
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="caller") as helper:
+            chunks = sample_chunks(self.SPEC, 25_001, 45, 10_000)
+            for z1, z2 in oracle._drawn_ahead(helper, chunks):
+                # Runs on the helper once the draw of the next chunk is done.
+                seen.append(helper.submit(len, drawn))
+                got.append((z1, z2))
+        assert [f.result() for f in seen] == [2, 3, 3]
+        assert threading.active_count() == before
+        rng = np.random.default_rng(45)
+        for (z1, z2), m in zip(got, [10_000, 10_000, 5_001], strict=True):
+            e1, e2 = _fill_uniform(rng, self.SPEC, m)
+            assert z1.tobytes() == e1.tobytes()
+            assert z2.tobytes() == e2.tobytes()
+
+    def test_caller_error_drains_claims_and_joins_helper(self, monkeypatch):
+        # The helper's second draw waits until the caller has failed, so
+        # every point the caller left unclaimed is still there to drain.
+        caller = threading.get_ident()
+        caller_failed = threading.Event()
+        helpers = []
+        helper_kernel_calls = []
+
+        def gated(rng, spec, n):
+            if threading.get_ident() != caller and helpers:
+                assert caller_failed.wait(timeout=30.0)
+            helpers.append(threading.current_thread())
+            return _fill_uniform(rng, spec, n)
+
+        def failing(*args, **kwargs):
+            if threading.get_ident() != caller:
+                helper_kernel_calls.append(1)
+                return kernel_num_den(*args, **kwargs)
+            caller_failed.set()
+            raise RuntimeError("caller evaluation failed")
+
+        monkeypatch.setattr(domain, "_fill_uniform", gated)
+        monkeypatch.setattr(oracle, "kernel_num_den", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller evaluation failed"):
+            oracle.reproducing_residuals_batch(
+                TestHandOff.SPEC, TestHandOff.FS, TestHandOff.ZS, 30_001, seed=46, chunk=10_000
+            )
+        assert helper_kernel_calls == []
+        helpers[0].join(timeout=30.0)
+        assert not helpers[0].is_alive()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("integrate", ["reproducing", "inner_products"])
+    def test_helper_draw_error_reaches_caller(self, monkeypatch, integrate):
+        calls = []
+
+        def failing(rng, spec, n):
+            calls.append(threading.current_thread())
+            if len(calls) == 2:
+                raise RuntimeError("second chunk failed")
+            return _fill_uniform(rng, spec, n)
+
+        monkeypatch.setattr(domain, "_fill_uniform", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second chunk failed"):
+            if integrate == "reproducing":
+                oracle.reproducing_residuals_batch(
+                    self.SPEC, (Monomial(0, 0),), (Point2C(0.01, 0.5),), 30_001, seed=47,
+                    chunk=10_000,
+                )
+            else:
+                one = Monomial(0, 0)
+                inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=47, chunk=10_000)
+        assert len(calls) == 2
+        assert calls[1] is not threading.current_thread()
+        calls[1].join(timeout=30.0)
         assert threading.active_count() == before
