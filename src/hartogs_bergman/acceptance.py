@@ -56,19 +56,23 @@ class CriterionResult:
 
 
 _PAIR_ROUNDS = 10_001  # rejection rounds before _pairs gives up on its filter
+_PAIR_BATCH = 512  # candidate pairs per round: point i is paired with point _PAIR_BATCH + i
 
 
-def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None, batch: int = 512):
-    """First n_pairs of independent uniform point pairs passing a filter."""
+def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None):
+    """First n_pairs of independent uniform point pairs (z, w) passing ``keep(s, t)``.
+
+    s = z1 conj(w1) and t = z2 conj(w2) are Python complex products, as in ``kernel`` (numpy's
+    can differ in the last bit); only kept pairs become points.
+    """
     if n_pairs < 1:
         raise ValueError(f"pair count must be >= 1, got {n_pairs}")
     out = []
-    for z1, z2 in sample_chunks(spec, _PAIR_ROUNDS * 2 * batch, seed, 2 * batch):
-        for i in range(batch):
-            z = Point2C(z1[i], z2[i])
-            w = Point2C(z1[batch + i], z2[batch + i])
-            if keep is None or keep(z, w):
-                out.append((z, w))
+    for z1, z2 in sample_chunks(spec, _PAIR_ROUNDS * 2 * _PAIR_BATCH, seed, 2 * _PAIR_BATCH):
+        z1, z2 = z1.tolist(), z2.tolist()
+        for i, j in enumerate(range(_PAIR_BATCH, 2 * _PAIR_BATCH)):
+            if keep is None or keep(z1[i] * z1[j].conjugate(), z2[i] * z2[j].conjugate()):
+                out.append((Point2C(z1[i], z2[i]), Point2C(z1[j], z2[j])))
                 if len(out) == n_pairs:
                     return out
     # A ValueError: the filter's parameters, not the sampler, are at fault.
@@ -84,8 +88,8 @@ def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float 
     if not max_mod > 0.0:
         raise ValueError(f"max_mod must be > 0, got {max_mod}")
 
-    def small(z, w):
-        return abs(z.z1 * w.z1.conjugate()) <= max_mod and abs(z.z2 * w.z2.conjugate()) <= max_mod
+    def small(s, t):
+        return abs(s) <= max_mod and abs(t) <= max_mod
 
     rows = []
     for z, w in _pairs(spec, n_pairs, seed, keep=small):
@@ -144,9 +148,7 @@ def criterion_3_thin_resolution() -> CriterionResult:
         spec = DomainSpec.thin(k)
         m = shear_iter(k)
 
-        def workable(z, w):
-            s = z.z1 * w.z1.conjugate()
-            t = z.z2 * w.z2.conjugate()
+        def workable(s, t):
             return abs(t) <= 0.7 and abs(s) <= 0.75 * abs(t) ** k
 
         for z, w in _pairs(spec, 25, seed=2000 + k, keep=workable):

@@ -216,6 +216,8 @@ def _cmd_eval(args):
     z = Point2C(*args.z)
     w = Point2C(*args.w)
     kv = kernel(args.spec, z, w, thin_variant=args.thin_variant)
+    if not np.isfinite(kv.value):  # NaN and infinity have no JSON form
+        raise SingularEvaluation(f"kernel value {kv.value} is not finite")
     results = {
         "spec": str(args.spec),
         "z": _point_json(z),

@@ -407,25 +407,25 @@ def boundary_paths(spec: DomainSpec, which: PathKind, steps: int = 20) -> Bounda
     if steps < 20:
         raise ValueError(f"need at least 20 halving steps, got {steps}")
     g = float(spec.gamma)
-    eps = [2.0**-m for m in range(1, steps + 1)]
     if which is PathKind.ORIGIN:
-        target = Point2C(0.0, 0.0)
-        pts = [Point2C(0.0, e) for e in eps]
+        target, point = Point2C(0.0, 0.0), lambda e: Point2C(0.0, e)
     elif which is PathKind.TOP_FACE:
-        target = Point2C(0.0, 1.0)
-        pts = [Point2C(0.0, 1.0 - e) for e in eps]
+        target, point = Point2C(0.0, 1.0), lambda e: Point2C(0.0, 1.0 - e)
     elif which is PathKind.SMOOTH_LEVI_FLAT:
         target = Point2C(0.5 ** (1.0 / g), 0.5)
-        pts = [Point2C(((1.0 - e) * 0.5) ** (1.0 / g), 0.5) for e in eps]
+        point = lambda e: Point2C(((1.0 - e) * 0.5) ** (1.0 / g), 0.5)
     elif which is PathKind.CORNER:
-        target = Point2C(1.0, 1.0)
-        pts = [Point2C((1.0 - e) ** (2.0 / g), 1.0 - e) for e in eps]
+        target, point = Point2C(1.0, 1.0), lambda e: Point2C((1.0 - e) ** (2.0 / g), 1.0 - e)
     else:
         raise ValueError(f"unknown path kind {which!r}")
-    for m, q in enumerate(pts, 1):
+    pts = []  # each checked as it is built, so an oversized steps fails at once
+    for m in range(1, steps + 1):
+        q = point(2.0**-m)
         if not contains(spec, q):
             raise ValueError(f"step {m} of the {which.value} path is not inside {spec}: "
                              f"double precision resolves {m - 1} steps")
+        pts.append(q)
+    eps = [2.0**-m for m in range(1, steps + 1)]
     dists = [abs(q.z1 - target.z1) ** 2 + abs(q.z2 - target.z2) ** 2 for q in pts]
     if any(b >= a for a, b in zip(dists, dists[1:])):
         raise RuntimeError("path samples must approach the target strictly")

@@ -306,9 +306,9 @@ def inner_products_mc(
 
     Each distinct function is evaluated once per chunk.  Estimates for
     different pairs are correlated but individually unbiased, and each is
-    bit-identical to a single-pair call with the same seed.  A helper
-    thread draws chunk k + 1 while the caller evaluates chunk k
-    (``_drawn_ahead``).
+    bit-identical to a single-pair call with the same seed.  The caller draws
+    each chunk: criterion 8 and ``inner-product`` read one chunk each, so a
+    thread drawing ahead would only draw while the caller waited.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -317,24 +317,20 @@ def inner_products_mc(
     total = [0.0j] * len(pairs)
     sq_re = [0.0] * len(pairs)
     sq_im = [0.0] * len(pairs)
-    # Imported on first use so that importing the package stays as cheap as before.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        for z1, z2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, chunk)):
-            memo = {}
-            for i, (f, g) in enumerate(pairs):
-                for h in (f, g):
-                    if h not in memo:
-                        memo[h] = h(z1, z2)
-                # Binding conj(g) first keeps the product's operand order: a
-                # bare temporary on the right lets numpy reuse it for the
-                # result with the operands swapped, which changes the rounding.
-                gc = np.conj(memo[g])
-                vals = memo[f] * gc
-                total[i] += vals.sum()
-                sq_re[i] += float(np.dot(vals.real, vals.real))
-                sq_im[i] += float(np.dot(vals.imag, vals.imag))
+    for z1, z2 in sample_chunks(spec, n, seed, chunk):
+        memo = {}
+        for i, (f, g) in enumerate(pairs):
+            for h in (f, g):
+                if h not in memo:
+                    memo[h] = h(z1, z2)
+            # Binding conj(g) first keeps the product's operand order: a
+            # bare temporary on the right lets numpy reuse it for the
+            # result with the operands swapped, which changes the rounding.
+            gc = np.conj(memo[g])
+            vals = memo[f] * gc
+            total[i] += vals.sum()
+            sq_re[i] += float(np.dot(vals.real, vals.real))
+            sq_im[i] += float(np.dot(vals.imag, vals.imag))
     out = []
     for t, sr, si in zip(total, sq_re, sq_im):
         mean = t / n

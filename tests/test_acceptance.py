@@ -7,8 +7,9 @@ samples per domain and dominates the runtime).
 
 import pytest
 
-from hartogs_bergman import domain
-from hartogs_bergman.acceptance import ALL_CRITERIA, criterion_8_basis_norms
+from hartogs_bergman import acceptance, domain
+from hartogs_bergman.acceptance import ALL_CRITERIA, criterion_8_basis_norms, series_deviations
+from hartogs_bergman.domain import DomainSpec, Point2C
 
 
 @pytest.mark.parametrize(
@@ -36,3 +37,18 @@ def test_basis_norms_draw_one_stream_per_domain(monkeypatch):
     monkeypatch.setattr(domain, "_fill_uniform", counting)
     assert criterion_8_basis_norms().passed
     assert drawn == [(text, 200_000) for text in ("classical", "fat:2", "fat:3", "thin:2", "thin:3")]
+
+
+def test_pair_filter_builds_points_only_for_kept_pairs(monkeypatch):
+    # The max_mod filter reads (s, t) alone, so only the 25 kept pairs
+    # become Point2C objects, however many candidates it rejects.
+    built = []
+
+    def counting(z1, z2):
+        built.append((z1, z2))
+        return Point2C(z1, z2)
+
+    monkeypatch.setattr(acceptance, "Point2C", counting)
+    rows = series_deviations(DomainSpec.fat(2), 25, seed=1002)
+    assert len(rows) == 25
+    assert len(built) == 50

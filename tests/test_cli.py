@@ -47,6 +47,25 @@ class TestEval:
         assert out == ""
         assert "error" in err
 
+    def test_nonfinite_value_exits_two_without_report(self, capsys):
+        # Inside thin:10, but the denominator pi^2 (1-t)^2 (t^10)^2 underflows to 0.
+        code, out, err = run(capsys, "eval", "--spec", "thin:10", "--z", "0,0", "3e-14,0",
+                             "--w", "0,0", "3e-14,0")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "error: kernel value (nan+0j) is not finite" in err
+
+    def test_finite_near_singular_value_is_reported(self, capsys):
+        code, doc, _ = run_json(capsys, "eval", "--spec", "thin:10", "--z", "0,0", "0.1,0",
+                                "--w", "0,0", "0.1,0")
+        assert code == 0
+        res = doc["results"]
+        assert res["near_singular"] is True
+        assert res["value"]["re"] == pytest.approx(
+            res["numerator"]["re"] / res["denominator"]["re"], rel=1e-12
+        )
+
     def test_malformed_spec_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--spec", "nonsense", "--z", "0,0", "0.5,0", "--w", "0,0", "0.5,0"])

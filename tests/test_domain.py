@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,19 @@ class TestBoundaryPaths:
         with pytest.raises(ValueError, match="step 47 of the origin path.*resolves 46 steps"):
             boundary_paths(DomainSpec.fat(2), PathKind.ORIGIN, 47)
         assert len(boundary_paths(DomainSpec.fat(2), PathKind.ORIGIN, 46).samples) == 46
+
+    @pytest.mark.parametrize("kind", list(PathKind))
+    def test_oversized_steps_fail_before_building_the_path(self, kind):
+        # Every kind leaves the domain within ~50 halvings; the points past
+        # that step must never be built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="double precision resolves"):
+                boundary_paths(DomainSpec.fat(2), kind, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_smooth_levi_flat_z1_increases(self):
         path = boundary_paths(DomainSpec.fat(2), PathKind.SMOOTH_LEVI_FLAT)

@@ -1,4 +1,5 @@
-"""Modules of the package reach each other through public names only."""
+"""Modules of the package reach each other through public names only, and
+only ``oracle`` may start a thread."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,11 @@ PACKAGE_DIR = Path(hartogs_bergman.__file__).parent
 # Private names allowed to cross a module boundary, as (importing module,
 # defining module, name) triples: none.
 ALLOWED = set()
+
+# Modules allowed to import a thread library: oracle's reproducing
+# integrator is the one place with a helper thread.
+THREAD_MODULES = {"concurrent", "threading"}
+THREAD_IMPORTERS = {"oracle"}
 
 
 def private_imports(path: Path):
@@ -31,3 +37,21 @@ def private_imports(path: Path):
 def test_no_private_cross_module_imports():
     found = {imp for path in PACKAGE_DIR.glob("*.py") for imp in private_imports(path)}
     assert found == ALLOWED
+
+
+def imported_modules(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module is not None:
+            yield node.module
+
+
+def test_only_oracle_imports_a_thread_library():
+    found = {
+        path.stem
+        for path in PACKAGE_DIR.glob("*.py")
+        if any(name.split(".")[0] in THREAD_MODULES for name in imported_modules(path))
+    }
+    assert found <= THREAD_IMPORTERS

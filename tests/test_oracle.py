@@ -561,7 +561,7 @@ class TestHandOff:
 
 
 class TestDrawAhead:
-    """The integrators read the plain stream through one helper thread that draws ahead."""
+    """The reproducing integrator draws ahead on one helper thread; inner products draw inline."""
 
     SPEC = DomainSpec.thin(3)  # acceptance 1/4: each chunk takes several rounds
 
@@ -646,6 +646,24 @@ class TestDrawAhead:
                 one = Monomial(0, 0)
                 inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=47, chunk=10_000)
         assert len(calls) == 2
-        assert calls[1] is not threading.current_thread()
-        calls[1].join(timeout=30.0)
+        if integrate == "reproducing":
+            assert calls[1] is not threading.current_thread()
+            calls[1].join(timeout=30.0)
+        assert threading.active_count() == before
+
+    def test_inner_products_draw_every_chunk_on_the_caller(self, monkeypatch):
+        threads = []
+        counts = []
+
+        def recording(rng, spec, n):
+            threads.append(threading.current_thread())
+            counts.append(threading.active_count())
+            return _fill_uniform(rng, spec, n)
+
+        monkeypatch.setattr(domain, "_fill_uniform", recording)
+        before = threading.active_count()
+        one = Monomial(0, 0)
+        inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=48, chunk=10_000)
+        assert threads == [threading.current_thread()] * 4
+        assert counts == [before] * 4
         assert threading.active_count() == before
