@@ -1,14 +1,16 @@
 """The acceptance battery: every headline claim, runnable end to end.
 
-Each criterion function pins its own seeds and tolerances and returns a
-CriterionResult; ``run_all`` executes them in order.  The same battery
-backs the ``reproduce`` CLI command and the acceptance test module.
-The pair-check loops behind criteria 2, 4 and 5 also run the
-``series-compare``, ``bell-check`` and ``biholo-check`` commands.
+Each criterion is declared once by ``_criterion`` (number, name, time
+budget), pins its own seeds and tolerances, and joins ``ALL_CRITERIA``,
+which ``run_all`` executes in order.  The same battery backs the
+``reproduce`` CLI command and the acceptance test module.  The pair-check
+loops behind criteria 2, 4 and 5 also run the ``series-compare``,
+``bell-check`` and ``biholo-check`` commands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -53,6 +55,29 @@ class CriterionResult:
         # np.bool_, which the json encoder rejects.
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "elapsed_s", float(self.elapsed_s))
+
+
+# (number, name, criterion) in order, filled by the @_criterion declarations below.
+ALL_CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = ()
+
+
+def _criterion(number: int, name: str, budget_s: float = math.inf):
+    """Declare criterion ``number``, whose body returns (passed, details): the
+    result is timed, fails past ``budget_s`` seconds and joins ALL_CRITERIA."""
+
+    def declare(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = body()
+            elapsed = time.perf_counter() - t0
+            return CriterionResult(number, name, passed and elapsed < budget_s, details, elapsed)
+
+        global ALL_CRITERIA
+        ALL_CRITERIA += ((number, name, criterion),)
+        return criterion
+
+    return declare
 
 
 _PAIR_ROUNDS = 10_001  # rejection rounds before _pairs gives up on its filter
@@ -115,33 +140,29 @@ def biholo_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, n_pairs: in
     ]
 
 
-def criterion_1_exact_identities() -> CriterionResult:
+@_criterion(1, "exact-identities", budget_s=5.0)
+def criterion_1_exact_identities():
     """Coefficient identities hold exactly for 2 <= k <= 50."""
-    t0 = time.perf_counter()
     report = verify_coefficient_identities(50)
-    elapsed = time.perf_counter() - t0
-    ok = report.all_pass and elapsed < 5.0
     detail = (
         "all 49 exponents agree coefficient-by-coefficient"
         if report.all_pass
         else "; ".join(f"k={c.k}: {c.detail}" for c in report.failures)
     )
-    return CriterionResult(1, "exact-identities", ok, detail, elapsed)
+    return report.all_pass, detail
 
 
-def criterion_2_fat_series() -> CriterionResult:
+@_criterion(2, "fat-kernel-vs-series", budget_s=60.0)
+def criterion_2_fat_series():
     """Fat closed forms match the series oracle to 1e-6 at 50 pairs per k."""
-    t0 = time.perf_counter()
     rows = [r for k in (1, 2, 3, 4) for r in series_deviations(DomainSpec.fat(k), 50, 1000 + k)]
     worst = max([0.0, *(dev for *_, dev in rows)])
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 60.0
-    return CriterionResult(2, "fat-kernel-vs-series", ok, f"max relative deviation {worst:.3e}", elapsed)
+    return worst <= 1e-6, f"max relative deviation {worst:.3e}"
 
 
-def criterion_3_thin_resolution() -> CriterionResult:
+@_criterion(3, "thin-denominator-resolution", budget_s=60.0)
+def criterion_3_thin_resolution():
     """Exactly one thin denominator variant survives both oracles."""
-    t0 = time.perf_counter()
     good_series = good_pull = 0.0
     bad_series = bad_pull = 0.0
     for k in (2, 3, 4):
@@ -164,35 +185,26 @@ def criterion_3_thin_resolution() -> CriterionResult:
             good_pull = max(good_pull, abs(v_good - pull) / abs(pull))
             bad_series = max(bad_series, abs(v_bad - series) / abs(series))
             bad_pull = max(bad_pull, abs(v_bad - pull) / abs(pull))
-    elapsed = time.perf_counter() - t0
-    ok = (
-        good_series <= 1e-6
-        and good_pull <= 1e-12
-        and bad_series > 1e-3
-        and bad_pull > 1e-3
-        and elapsed < 60.0
-    )
+    ok = good_series <= 1e-6 and good_pull <= 1e-12 and bad_series > 1e-3 and bad_pull > 1e-3
     detail = (
         f"variant 1-t: series dev {good_series:.3e}, pullback dev {good_pull:.3e}; "
         f"variant 1-s fails with devs {bad_series:.3e} / {bad_pull:.3e}"
     )
-    return CriterionResult(3, "thin-denominator-resolution", ok, detail, elapsed)
+    return ok, detail
 
 
-def criterion_4_covering_rule() -> CriterionResult:
+@_criterion(4, "covering-rule", budget_s=10.0)
+def criterion_4_covering_rule():
     """Branched-covering transformation residual <= 1e-9 for k = 2..8."""
-    t0 = time.perf_counter()
     worst = 0.0
     for k in range(2, 9):
         worst = max([worst, *bell_residuals(k, 100, 3000 + k, 3500 + k)])
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 10.0
-    return CriterionResult(4, "covering-rule", ok, f"max relative residual {worst:.3e}", elapsed)
+    return worst <= 1e-9, f"max relative residual {worst:.3e}"
 
 
-def criterion_5_biholo_invariance() -> CriterionResult:
+@_criterion(5, "biholomorphic-invariance")
+def criterion_5_biholo_invariance():
     """Shear invariance <= 1e-13; thin chain shears <= 1e-12."""
-    t0 = time.perf_counter()
     classical = DomainSpec.classical()
     punctured = DomainSpec.punctured_bidisc()
     worst_shear = max([0.0, *biholo_residuals(shear(), classical, punctured, 1000, 4000)])
@@ -200,15 +212,13 @@ def criterion_5_biholo_invariance() -> CriterionResult:
     for k in (1, 2, 3, 4):
         chain = biholo_residuals(shear(), DomainSpec.thin(k + 1), DomainSpec.thin(k), 200, 4100 + k)
         worst_chain = max([worst_chain, *chain])
-    elapsed = time.perf_counter() - t0
     ok = worst_shear <= 1e-13 and worst_chain <= 1e-12
-    detail = f"shear residual {worst_shear:.3e}, chain residual {worst_chain:.3e}"
-    return CriterionResult(5, "biholomorphic-invariance", ok, detail, elapsed)
+    return ok, f"shear residual {worst_shear:.3e}, chain residual {worst_chain:.3e}"
 
 
-def criterion_6_kernel_zeros() -> CriterionResult:
+@_criterion(6, "kernel-zeros")
+def criterion_6_kernel_zeros():
     """Fat witnesses vanish to 1e-12; thin kernels never vanish."""
-    t0 = time.perf_counter()
     worst_witness = max(lqk_witness(k).numerator_abs for k in range(2, 51))
     hits = 0
     min_abs = math.inf
@@ -216,19 +226,17 @@ def criterion_6_kernel_zeros() -> CriterionResult:
         rep = thin_nonvanishing(k, 100_000, seed=5000 + k)
         hits += rep.zero_hits
         min_abs = min(min_abs, rep.min_abs_value)
-    elapsed = time.perf_counter() - t0
-    ok = worst_witness <= 1e-12 and hits == 0
     detail = f"max witness numerator {worst_witness:.3e}; thin zero hits {hits}, min |B| {min_abs:.3e}"
-    return CriterionResult(6, "kernel-zeros", ok, detail, elapsed)
+    return worst_witness <= 1e-12 and hits == 0, detail
 
 
 _REPRODUCING_POINTS = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
 _REPRODUCING_FUNCTIONS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
 
 
-def criterion_7_reproducing() -> CriterionResult:
+@_criterion(7, "reproducing-property")
+def criterion_7_reproducing():
     """Monte Carlo reproducing-property residual <= 2% at n = 1e7."""
-    t0 = time.perf_counter()
     worst = 0.0
     per_domain_ok = True
     details = []
@@ -242,9 +250,7 @@ def criterion_7_reproducing() -> CriterionResult:
         worst = max(worst, dom_worst)
         per_domain_ok = per_domain_ok and dom_elapsed < 120.0
         details.append(f"{spec}: max residual {dom_worst:.3e}")
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 0.02 and per_domain_ok
-    return CriterionResult(7, "reproducing-property", ok, "; ".join(details), elapsed)
+    return worst <= 0.02 and per_domain_ok, "; ".join(details)
 
 
 def _variance_safe_monomials(spec: DomainSpec, count: int) -> list[Monomial]:
@@ -262,9 +268,9 @@ def _variance_safe_monomials(spec: DomainSpec, count: int) -> list[Monomial]:
     raise RuntimeError("not enough variance-safe monomials")
 
 
-def criterion_8_basis_norms() -> CriterionResult:
+@_criterion(8, "basis-norms")
+def criterion_8_basis_norms():
     """MC inner products match closed-form norms within 3 standard errors."""
-    t0 = time.perf_counter()
     specs = (
         DomainSpec.classical(),
         DomainSpec.fat(2),
@@ -302,18 +308,16 @@ def criterion_8_basis_norms() -> CriterionResult:
             if sigma > worst_cross[0]:
                 worst_cross = (sigma, f"{spec}, <{f.name}, {g.name}>")
             cross_fails += sigma > 3.0
-    elapsed = time.perf_counter() - t0
-    ok = norm_fails == 0 and cross_fails == 0
     detail = (
         f"worst norm deviation {worst_norm[0]:.2f} sigma ({worst_norm[1]}), "
         f"worst cross term {worst_cross[0]:.2f} sigma ({worst_cross[1]})"
     )
-    return CriterionResult(8, "basis-norms", ok, detail, elapsed)
+    return norm_fails == 0 and cross_fails == 0, detail
 
 
-def criterion_9_boundary_asymptotics() -> CriterionResult:
+@_criterion(9, "boundary-asymptotics")
+def criterion_9_boundary_asymptotics():
     """Diagonal blow-up ratio quotients <= 10 on path tails."""
-    t0 = time.perf_counter()
     specs = [DomainSpec.fat(k) for k in range(1, 6)] + [DomainSpec.thin(k) for k in range(2, 6)]
     kinds = (PathKind.ORIGIN, PathKind.TOP_FACE, PathKind.SMOOTH_LEVI_FLAT)
     worst = 0.0
@@ -324,16 +328,12 @@ def criterion_9_boundary_asymptotics() -> CriterionResult:
             q = rep.tail_quotient(10)
             if q > worst:
                 worst, worst_at = q, f"{spec}/{kind.value}"
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 10.0
-    return CriterionResult(
-        9, "boundary-asymptotics", ok, f"worst tail quotient {worst:.3f} at {worst_at}", elapsed
-    )
+    return worst <= 10.0, f"worst tail quotient {worst:.3f} at {worst_at}"
 
 
-def criterion_10_ramadanov() -> CriterionResult:
+@_criterion(10, "ramadanov-convergence")
+def criterion_10_ramadanov():
     """Fat kernels converge to the bidisc kernel as the exponent grows."""
-    t0 = time.perf_counter()
     table = ramadanov_table(RAMADANOV_POINTS, 25)
     ok = True
     details = []
@@ -346,27 +346,17 @@ def criterion_10_ramadanov() -> CriterionResult:
         details.append(
             f"({p.z1.real:g},{p.z2.real:g}): e_{k0}={errors[k0 - 1]:.3e}, e_25={errors[-1]:.3e}"
         )
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(10, "ramadanov-convergence", ok, "; ".join(details), elapsed)
-
-
-ALL_CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
-    (1, "exact-identities", criterion_1_exact_identities),
-    (2, "fat-kernel-vs-series", criterion_2_fat_series),
-    (3, "thin-denominator-resolution", criterion_3_thin_resolution),
-    (4, "covering-rule", criterion_4_covering_rule),
-    (5, "biholomorphic-invariance", criterion_5_biholo_invariance),
-    (6, "kernel-zeros", criterion_6_kernel_zeros),
-    (7, "reproducing-property", criterion_7_reproducing),
-    (8, "basis-norms", criterion_8_basis_norms),
-    (9, "boundary-asymptotics", criterion_9_boundary_asymptotics),
-    (10, "ramadanov-convergence", criterion_10_ramadanov),
-)
+    return ok, "; ".join(details)
 
 
 def run_all(numbers: Iterable[int] | None = None, log=None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), logging one line each."""
+    """Run the selected criteria (all by default), logging one line each.
+
+    An empty selection, or a number that names no declared criterion, raises ValueError.
+    """
     wanted = set(numbers) if numbers is not None else None
+    if wanted is not None and (not wanted or wanted - {number for number, _, _ in ALL_CRITERIA}):
+        raise ValueError(f"criterion numbers must name declared criteria, got {sorted(wanted)}")
     results = []
     for number, name, fn in ALL_CRITERIA:
         if wanted is not None and number not in wanted:

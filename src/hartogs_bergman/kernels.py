@@ -24,16 +24,18 @@ Since fat(1) and thin(1) are the classical triangle, every gamma = 1 entry
 point returns the classical kernel, whichever thin variant is asked for.
 
 Numerator and denominator are returned separately: the numerator's zeros
-are what the Lu Qi-Keng analysis scans for, and a near-singular flag on
-the denominator replaces silent infinities near t = s^k or t = 1.
+are what the Lu Qi-Keng analysis scans for, and a flag on the denominator
+(``near_singular``, the one such test, which the reproducing integrator
+shares) replaces silent infinities near t = s^k or t = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
+
+import numpy as np
 
 from .domain import DomainKind, DomainSpec, Point2C, require_inside
 from .polynomials import lin_coeff, quad_coeff
@@ -41,6 +43,7 @@ from .polynomials import lin_coeff, quad_coeff
 __all__ = [
     "PI_SQ",
     "NEAR_SINGULAR_THRESHOLD",
+    "near_singular",
     "ThinVariant",
     "THIN_VARIANT_DEFAULT",
     "THIN_VARIANT_ALTERNATE",
@@ -60,6 +63,15 @@ PI_SQ = math.pi**2
 
 # |denominator| below this flags the evaluation instead of trusting the quotient.
 NEAR_SINGULAR_THRESHOLD = 1e-30
+
+
+def near_singular(den):
+    """The one near-singular test, |den| < NEAR_SINGULAR_THRESHOLD (read at
+    each call): a bool for a scalar denominator, a boolean mask for an array."""
+    if isinstance(den, np.ndarray):
+        return np.abs(den) < NEAR_SINGULAR_THRESHOLD
+    return bool(abs(den) < NEAR_SINGULAR_THRESHOLD)
+
 
 ThinVariant = Literal["1-t", "1-s"]
 THIN_VARIANT_DEFAULT: ThinVariant = "1-t"
@@ -90,25 +102,10 @@ class KernelValue:
     near_singular: bool
 
 
-@lru_cache(maxsize=None)
-def _fat_float_coeffs(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # Exactness of the double conversion is checked inside float_coeffs.
-    return quad_coeff(k).float_coeffs(), lin_coeff(k).float_coeffs()
-
-
-def _horner(coeffs: tuple[float, ...], x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _fat_numerator(k: int, s, t, sk):
     # sk is s**k, which the fat denominator needs too.
-    c2f, c1f = _fat_float_coeffs(k)
-    c2v = _horner(c2f, s)
-    c1v = _horner(c1f, s)
-    return (c2v * t + c1v) * t + sk * c2v
+    c2v = quad_coeff(k)(s)
+    return (c2v * t + lin_coeff(k)(s)) * t + sk * c2v
 
 
 def fat_numerator(k: int, s, t):
@@ -155,9 +152,8 @@ def kernel(
     s = z.z1 * w.z1.conjugate()
     t = z.z2 * w.z2.conjugate()
     num, den = kernel_num_den(spec, s, t, thin_variant)
-    near = abs(den) < NEAR_SINGULAR_THRESHOLD
     value = num / den if den != 0 else complex("nan")
-    return KernelValue(value, num, den, near)
+    return KernelValue(value, num, den, near_singular(den))
 
 
 def bergman_fat(k: int, z: Point2C, w: Point2C, *, check: bool = True) -> KernelValue:

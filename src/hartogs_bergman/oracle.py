@@ -30,13 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import DomainSpec, Point2C, require_inside, sample_chunks, volume
-from .kernels import (
-    NEAR_SINGULAR_THRESHOLD,
-    PI_SQ,
-    THIN_VARIANT_DEFAULT,
-    ThinVariant,
-    kernel_num_den,
-)
+from .kernels import PI_SQ, THIN_VARIANT_DEFAULT, ThinVariant, kernel_num_den, near_singular
 
 __all__ = [
     "NonconvergentTruncation",
@@ -68,12 +62,24 @@ def _require_triangle(spec: DomainSpec) -> Fraction:
     return spec.gamma
 
 
-def is_admissible(spec: DomainSpec, a: int, b: int) -> bool:
-    """Square-integrability of z1^a z2^b on the triangle, decided exactly."""
+def _norm_factor(spec: DomainSpec, a: int, b: int) -> Fraction | None:
+    # 2b + 2 + (2a+2)/gamma from the polar integral, or None when z1^a z2^b
+    # is not square-integrable (the factor is not positive, or a < 0).
     g = _require_triangle(spec)
     if a < 0:
-        return False
-    return Fraction(2 * b + 2) + Fraction(2 * a + 2) / g > 0
+        return None
+    factor = Fraction(2 * b + 2) + Fraction(2 * a + 2) / g
+    return factor if factor > 0 else None
+
+
+def is_admissible(spec: DomainSpec, a: int, b: int) -> bool:
+    """Square-integrability of z1^a z2^b on the triangle, decided exactly."""
+    return _norm_factor(spec, a, b) is not None
+
+
+def _require_admissible(spec: DomainSpec, f: Monomial) -> None:
+    if not is_admissible(spec, f.a, f.b):
+        raise ValueError(f"{f.name} is not square-integrable on {spec}")
 
 
 def b_min(spec: DomainSpec, a: int) -> int:
@@ -100,10 +106,9 @@ class MonomialIndex:
 
 
 def monomial_norm_sq(spec: DomainSpec, a: int, b: int) -> float:
-    g = _require_triangle(spec)
-    if not is_admissible(spec, a, b):
+    factor = _norm_factor(spec, a, b)
+    if factor is None:
         raise ValueError(f"monomial ({a}, {b}) is not square-integrable on {spec}")
-    factor = Fraction(2 * b + 2) + Fraction(2 * a + 2) / g
     return 4.0 * PI_SQ / ((2 * a + 2) * float(factor))
 
 
@@ -127,6 +132,7 @@ class SeriesTruncation:
 
 
 def _sum_rectangle(spec: DomainSpec, s: complex, t: complex, a_max: int, b_max: int):
+    """(partial sum, terms, tail bound) of the series on the rectangle a <= a_max, b <= b_max."""
     g = _require_triangle(spec)
     gf = float(g)
     bmins = [_b_min(g, a) for a in range(a_max + 1)]
@@ -146,7 +152,7 @@ def _sum_rectangle(spec: DomainSpec, s: complex, t: complex, a_max: int, b_max: 
         terms += length
         if a < a_max:
             lead *= s * t ** (bmins[a + 1] - bmins[a])
-    return total / (4.0 * PI_SQ), terms
+    return total / (4.0 * PI_SQ), terms, _tail_bound(spec, abs(s), abs(t), a_max, b_max)
 
 
 def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float, a_max: int, b_max: int) -> float:
@@ -195,10 +201,10 @@ def kernel_series(
 ) -> tuple[complex, SeriesTruncation]:
     """Partial series sum with a certified tail bound.
 
-    With explicit a_max/b_max the given rectangle is summed; otherwise the
-    rectangle doubles until the tail bound drops below
-    tol * max(1, |partial sum|).  A tail bound that cannot meet the
-    tolerance raises NonconvergentTruncation.  A tolerance that is not
+    Returns the first candidate rectangle whose tail bound is at most
+    tol * max(1, |partial sum|) (tol=None accepts the first): the given
+    a_max/b_max, or else squares of side 32, 64, ... up to max_rect.  If none
+    does, NonconvergentTruncation names the last.  A tolerance that is not
     positive (zero, negative or NaN) raises ValueError before any summing.
     """
     if (a_max is None) != (b_max is None):
@@ -210,31 +216,20 @@ def kernel_series(
         require_inside(spec, w, name="w")
     s = z.z1 * w.z1.conjugate()
     t = z.z2 * w.z2.conjugate()
-    abs_s, abs_t = abs(s), abs(t)
-
-    if a_max is not None and b_max is not None:
-        value, terms = _sum_rectangle(spec, s, t, a_max, b_max)
-        tail = _tail_bound(spec, abs_s, abs_t, a_max, b_max)
-        trunc = SeriesTruncation(a_max, b_max, terms, tail)
-        if tol is not None and not tail <= tol * max(1.0, abs(value)):
-            raise NonconvergentTruncation(
-                f"tail bound {tail:.3e} exceeds tolerance at rectangle ({a_max}, {b_max})"
-            )
-        return value, trunc
-
-    if tol is None:
+    if a_max is not None:
+        rects = [(a_max, b_max)]
+    elif tol is None:
         raise ValueError("auto truncation requires a tolerance")
-    size = 32
-    while True:
-        value, terms = _sum_rectangle(spec, s, t, size, size)
-        tail = _tail_bound(spec, abs_s, abs_t, size, size)
-        if tail <= tol * max(1.0, abs(value)):
-            return value, SeriesTruncation(size, size, terms, tail)
-        if size >= max_rect:
-            raise NonconvergentTruncation(
-                f"tail bound {tail:.3e} still above tolerance at rectangle ({size}, {size})"
-            )
-        size *= 2
+    else:
+        sides = [32]
+        while sides[-1] < max_rect:
+            sides.append(2 * sides[-1])
+        rects = [(side, side) for side in sides]
+    for a, b in rects:
+        value, terms, tail = _sum_rectangle(spec, s, t, a, b)
+        if tol is None or tail <= tol * max(1.0, abs(value)):
+            return value, SeriesTruncation(a, b, terms, tail)
+    raise NonconvergentTruncation(f"tail bound {tail:.3e} exceeds tolerance at rectangle ({a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -308,11 +303,15 @@ def inner_products_mc(
     different pairs are correlated but individually unbiased, and each is
     bit-identical to a single-pair call with the same seed.  The caller draws
     each chunk: criterion 8 and ``inner-product`` read one chunk each, so a
-    thread drawing ahead would only draw while the caller waited.
+    thread drawing ahead would only draw while the caller waited.  Every f and
+    g is a Monomial; one that is not square-integrable raises ValueError.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
     pairs = tuple(pairs)
+    for f, g in pairs:
+        _require_admissible(spec, f)
+        _require_admissible(spec, g)
     vol = volume(spec)
     total = [0.0j] * len(pairs)
     sq_re = [0.0] * len(pairs)
@@ -422,8 +421,7 @@ def reproducing_residuals_batch(
     for z in zs:
         require_inside(spec, z, name="evaluation point")
     for f in fs:
-        if not is_admissible(spec, f.a, f.b):
-            raise ValueError(f"{f.name} is not square-integrable on {spec}")
+        _require_admissible(spec, f)
     vol = volume(spec)
     acc = [[0.0j for _ in zs] for _ in fs]
     excluded = [[0 for _ in zs] for _ in fs]
@@ -451,10 +449,10 @@ def reproducing_residuals_batch(
                 s = z.z1 * w1c
                 t = z.z2 * w2c
                 num, den = kernel_num_den(spec, s, t, thin_variant)
-                ok = np.abs(den) >= NEAR_SINGULAR_THRESHOLD
-                block_bad = ok.size - int(np.count_nonzero(ok))
+                flagged = near_singular(den)
+                block_bad = int(np.count_nonzero(flagged))
                 if block_bad:
-                    num, den = np.where(ok, num, 0.0), np.where(ok, den, 1.0)
+                    num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
                 np.divide(num, den, out=kvals[block])
                 bad += block_bad
             for i in range(len(fs)):

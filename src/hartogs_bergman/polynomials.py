@@ -14,14 +14,14 @@ The same coefficients arise, scaled by k, as coefficient sums of products
 of the all-ones polynomials 1 + s + ... + s^l.  Both routes are built
 literally here in arbitrary-precision integer arithmetic, and
 ``verify_coefficient_identities`` compares them coefficient by coefficient.
-Floating point enters only at kernel-evaluation time (``IntPoly.float_coeffs``),
-never in the identity checks themselves.
+Floating point enters only when an ``IntPoly`` is called on a non-int (over
+``IntPoly.float_coeffs``), never in the identity checks themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "IntPoly",
@@ -99,9 +99,9 @@ class IntPoly:
         return IntPoly((0,) * m + self.coeffs)
 
     def __call__(self, x):
-        """Horner evaluation; exact for int arguments."""
-        acc = 0 if isinstance(x, int) else 0.0
-        for c in reversed(self.coeffs):
+        """Horner evaluation: exact for int arguments, else over ``float_coeffs``."""
+        acc, coeffs = (0, self.coeffs) if isinstance(x, int) else (0.0, self._doubles)
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
@@ -111,6 +111,10 @@ class IntPoly:
             if abs(c) >= _DOUBLE_EXACT:
                 raise OverflowError(f"coefficient {c} does not fit a double exactly")
         return tuple(float(c) for c in self.coeffs)
+
+    @cached_property
+    def _doubles(self) -> tuple[float, ...]:
+        return self.float_coeffs()
 
     def to_json(self) -> list:
         # Big values as decimal strings so non-bignum JSON readers stay exact.
@@ -257,7 +261,6 @@ def _first_mismatch(name: str, lhs: IntPoly, rhs: IntPoly) -> str | None:
     for i in range(top + 1):
         if lhs.coeff(i) != rhs.coeff(i):
             return f"{name}: coefficient of s^{i} differs, {lhs.coeff(i)} != {rhs.coeff(i)}"
-    return f"{name}: polynomials differ"  # unreachable
 
 
 def verify_coefficient_identities(k_max: int) -> IdentityReport:

@@ -198,6 +198,12 @@ def branch_inverses(k: int, w: Point2C) -> list[BranchInverse]:
     return out
 
 
+def _relative_residual(lhs: complex, rhs: complex) -> float:
+    # |lhs - rhs| relative to the larger side; two exact zeros agree.
+    scale = max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+
+
 def bell_residual(k: int, z: Point2C, w: Point2C) -> float:
     """Relative residual of the order-k covering transformation rule.
 
@@ -216,8 +222,7 @@ def bell_residual(k: int, z: Point2C, w: Point2C) -> float:
         rhs += kv.value * branch.jacobian.conjugate()
     if flagged:
         raise SingularEvaluation("a kernel evaluation in the covering rule was near-singular")
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    return _relative_residual(lhs, rhs)
 
 
 def biholo_residual(
@@ -243,5 +248,4 @@ def biholo_residual(
         raise SingularEvaluation("a kernel evaluation in the invariance rule was near-singular")
     lhs = kv_src.value
     rhs = m.jacobian(z) * kv_dst.value * m.jacobian(w).conjugate()
-    scale = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+    return _relative_residual(lhs, rhs)

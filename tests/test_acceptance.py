@@ -52,3 +52,53 @@ def test_pair_filter_builds_points_only_for_kept_pairs(monkeypatch):
     rows = series_deviations(DomainSpec.fat(2), 25, seed=1002)
     assert len(rows) == 25
     assert len(built) == 50
+
+
+def _stub(number, calls):
+    def criterion():
+        calls.append(number)
+        return acceptance.CriterionResult(number, f"stub-{number}", True, "ok", 0.0)
+
+    return criterion
+
+
+def test_run_all_without_selection_runs_every_criterion_in_order(monkeypatch):
+    calls = []
+    stubs = tuple((n, f"stub-{n}", _stub(n, calls)) for n in (1, 2, 3))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs)
+    results = acceptance.run_all()
+    assert calls == [1, 2, 3]
+    assert [r.number for r in results] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("numbers", [[], [11], [1, 11]], ids=repr)
+def test_run_all_rejects_a_selection_naming_no_criterion(monkeypatch, numbers):
+    calls = []
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", ((1, "stub-1", _stub(1, calls)),))
+    with pytest.raises(ValueError, match="criterion numbers"):
+        acceptance.run_all(numbers)
+    assert calls == []
+
+
+def test_criteria_are_declared_in_order():
+    assert [(n, fn.__name__.split("_")[1]) for n, _, fn in ALL_CRITERIA] == [
+        (n, str(n)) for n in range(1, 11)
+    ]
+
+
+def test_declaration_registers_times_and_applies_the_budget(monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", ())
+
+    @acceptance._criterion(11, "over-budget", budget_s=0.0)
+    def late():
+        return True, "done"
+
+    @acceptance._criterion(12, "unbounded")
+    def free():
+        return True, "done"
+
+    assert acceptance.ALL_CRITERIA == ((11, "over-budget", late), (12, "unbounded", free))
+    result = late()
+    assert (result.number, result.name, result.passed, result.details) == (11, "over-budget", False, "done")
+    assert result.elapsed_s >= 0.0
+    assert free().passed is True

@@ -379,3 +379,67 @@ class TestReproduce:
         doc = json.loads(out)
         assert code == 0
         assert doc["results"]["criteria"][0]["passed"] is True
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("only", [(), ("11",), ("1", "11")], ids=repr)
+    def test_reproduce_selection_naming_no_criterion_exits_one(self, capsys, only):
+        code, out, err = run(capsys, "reproduce", "--only", *only)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("hartogs-bergman reproduce: error: criterion numbers")
+
+    def test_inadmissible_inner_product_exits_one(self, capsys):
+        code, out, err = run(capsys, "inner-product", "--spec", "classical", "--f", "z1^0*z2^-3",
+                             "--g", "one", "--n", "10000")
+        assert code == 1
+        assert out == ""
+        assert err == "hartogs-bergman inner-product: error: z1^0*z2^-3 is not square-integrable on classical\n"
+
+    @pytest.mark.parametrize("command", ["inner-product", "reproducing"])
+    def test_monte_carlo_checks_on_a_bidisc_exit_one(self, capsys, command):
+        code, out, err = run(capsys, command, "--spec", "bidisc", "--n", "10000")
+        assert code == 1
+        assert out == ""
+        assert "requires a Hartogs triangle, got bidisc" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--map", "shear", "--k", "3"), ("--map", "shear-inv", "--k", "2"),
+         ("--map", "shear-iter",), ("--map", "shear-iter-inv", "--k", "0")],
+        ids=" ".join,
+    )
+    def test_biholo_check_exponent_must_fit_the_map(self, capsys, argv):
+        code, out, err = run(capsys, "biholo-check", *argv, "--pairs", "2")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "exponent" in err
+
+    def test_out_into_missing_directory_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "--out", str(target), "identities", "--kmax", "5")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("hartogs-bergman identities: error: ")
+        assert not target.exists()
+
+
+class TestUncoveredCommands:
+    def test_zero_scan_circle_emits_cell_rows(self, capsys):
+        code, out, _ = run(capsys, "zero-scan", "--k", "2", "--s-points", "3", "--t-abs", "0.5",
+                           "--tol", "0.01")
+        assert code == 0
+        cells = [line.split(",") for line in out.splitlines() if line.startswith("cell,")]
+        assert [(c[1], c[4], c[5]) for c in cells] == [("-0.5", "0.5", "1")] * 2
+        assert all(float(c[6]) < 0.01 for c in cells)
+
+    def test_volume_of_the_bidisc(self, capsys):
+        code, doc, _ = run_json(capsys, "volume", "--spec", "bidisc", "--n", "10000", "--seed", "4")
+        assert code == 0
+        res = doc["results"]
+        assert res["quadrature_volume"] == pytest.approx(9.869604401089358, rel=1e-15)
+        assert res["acceptance_ratio"] == 1.0
+        assert res["rel_dev"] == 0.0

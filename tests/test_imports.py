@@ -1,5 +1,6 @@
-"""Modules of the package reach each other through public names only, and
-only ``oracle`` may start a thread."""
+"""Modules of the package reach each other through public names only, only
+``oracle`` may start a thread, and only ``kernels`` reads the near-singular
+threshold."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,25 @@ def test_only_oracle_imports_a_thread_library():
         if any(name.split(".")[0] in THREAD_MODULES for name in imported_modules(path))
     }
     assert found <= THREAD_IMPORTERS
+
+
+def names_used(path: Path):
+    # Imported names, attribute names and bare names.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
+def test_only_kernels_reads_the_near_singular_threshold():
+    # Every other module asks kernels.near_singular, the one near-singular test.
+    found = {
+        path.stem
+        for path in PACKAGE_DIR.glob("*.py")
+        if "NEAR_SINGULAR_THRESHOLD" in set(names_used(path))
+    }
+    assert found == {"kernels"}

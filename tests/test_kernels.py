@@ -18,9 +18,9 @@ from hartogs_bergman import (
     diagonal,
     kernel,
 )
-from hartogs_bergman import cli
+from hartogs_bergman import cli, kernels
 from hartogs_bergman.domain import sample_uniform_arrays
-from hartogs_bergman.kernels import kernel_num_den
+from hartogs_bergman.kernels import kernel_num_den, near_singular
 
 PI_SQ = math.pi**2
 
@@ -265,3 +265,22 @@ def test_eval_report_golden(key, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert _digest([out]) == GOLDEN_EVAL[key]
+
+
+class TestNearSingular:
+    def test_scalar_gives_a_python_bool(self):
+        assert near_singular(1e-31 + 0j) is True
+        assert near_singular(1e-29) is False
+
+    def test_array_gives_a_mask(self):
+        den = np.array([1e-31, 1e-30, 1.0 + 0j])
+        assert near_singular(den).tolist() == [True, False, False]
+
+    def test_threshold_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", 0.25)
+        assert near_singular(0.2) is True
+        assert near_singular(np.array([0.2, 0.3])).tolist() == [True, False]
+        z = Point2C(0.05, 0.3)
+        kv = kernel(DomainSpec.fat(2), z, z)
+        assert 1e-30 < abs(kv.denominator) < 0.25
+        assert kv.near_singular is True

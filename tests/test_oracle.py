@@ -16,7 +16,7 @@ from hartogs_bergman import (
     bergman_fat,
     bergman_thin,
 )
-from hartogs_bergman import cli, domain, oracle
+from hartogs_bergman import cli, domain, kernels, oracle
 from hartogs_bergman.domain import _fill_uniform, sample_chunks, sample_uniform_arrays, volume
 from hartogs_bergman.kernels import kernel_num_den
 from hartogs_bergman.oracle import (
@@ -266,6 +266,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             inner_product_mc(DomainSpec.classical(), Monomial(0, 0), Monomial(0, 0), 10, seed=1)
 
+    @pytest.mark.parametrize("f,g", [((0, -3), (0, 0)), ((0, 0), (0, -2))])
+    def test_rejects_inadmissible_functions_before_sampling(self, monkeypatch, f, g):
+        # z2^-3 and z2^-2 are not square-integrable on the classical triangle,
+        # so their inner products do not exist.
+        monkeypatch.setattr(domain, "_fill_uniform", None)
+        with pytest.raises(ValueError, match="is not square-integrable on classical"):
+            inner_product_mc(DomainSpec.classical(), Monomial(*f), Monomial(*g), 10_000, seed=1)
+
 
 # repr((complex(value), std_error)) of inner_product_mc(spec, f, g, n,
 # seed=11), recorded before the single-pair estimator became a wrapper over
@@ -378,7 +386,7 @@ class TestReproducing:
         num, den = kernel_num_den(spec, z.z1 * np.conj(w1), z.z2 * np.conj(w2))
         threshold = float(np.median(np.abs(den)))
         ok = np.abs(den) >= threshold
-        monkeypatch.setattr(oracle, "NEAR_SINGULAR_THRESHOLD", threshold)
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", threshold)
         rep = reproducing_check(spec, Monomial(0, 0), z, n, seed)
         assert rep.excluded == n - ok.sum() > 0
         expected = volume(spec) * np.sum(num[ok] / den[ok]) / ok.sum()
@@ -427,7 +435,7 @@ GOLDEN_REPRODUCING = {
 def test_reproducing_batch_golden(key, monkeypatch):
     text, threshold = key
     if threshold is not None:
-        monkeypatch.setattr(oracle, "NEAR_SINGULAR_THRESHOLD", threshold)
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", threshold)
     reports = oracle.reproducing_residuals_batch(
         DomainSpec.parse(text), _GOLDEN_FS, _GOLDEN_ZS, 2_500_001, seed=36
     )

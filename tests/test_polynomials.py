@@ -42,6 +42,13 @@ class TestIntPoly:
         small, big = 3, 2**60
         assert IntPoly((small, big)).to_json() == [small, str(big)]
 
+    def test_eval_rejects_inexact_doubles_for_non_ints(self):
+        p = IntPoly((2**53, 1))
+        assert p(2) == 2**53 + 2
+        with pytest.raises(OverflowError):
+            p(2.0)
+        assert IntPoly((3, 1))(0.5) == 3.5
+
     def test_float_coeffs_guard(self):
         assert IntPoly((1, 2)).float_coeffs() == (1.0, 2.0)
         with pytest.raises(OverflowError):
