@@ -152,12 +152,15 @@ class Point2C:
 
 
 def _ipow(x, k: int):
-    # x**k by repeated multiplication: plain IEEE products round the same on
+    # x**k (k >= 1) by binary powering: plain IEEE products round the same on
     # Python floats and numpy arrays, where ``**`` does not (libm pow vs
-    # numpy's vectorized pow differ in the last bit).
-    y = x * x
-    for _ in range(k - 2):
-        y *= x
+    # numpy's vectorized pow differ in the last bit).  For k <= 3 these are
+    # the products of plain repeated multiplication.
+    y = x if k & 1 else None
+    while k := k >> 1:
+        x = x * x
+        if k & 1:
+            y = x if y is None else y * x
     return y
 
 
@@ -310,7 +313,8 @@ def _fill_uniform(
     rounds = 0
     while got < n:
         if rounds > 10_000:
-            raise RuntimeError(f"rejection sampling failed to converge for {spec}")
+            # A ValueError: the domain is too thin to sample, as with the pair filter.
+            raise ValueError(f"rejection sampling on {spec} accepted {got} of {n} points")
         m = min(max(4096, 2 * (n - got)), max_chunk)
         r1, u1 = _disc_uniforms(rng, m)
         r2, u2 = _disc_uniforms(rng, m)

@@ -13,8 +13,8 @@ Three instruments, all independent of the closed forms they test:
   Reinhardt fact and is assumed here.
 
 * The kernel series sum over the normalized monomial basis,
-  sum s^a t^b / norm_sq(a, b), truncated on a rectangle with an analytic
-  geometric tail bound.
+  sum s^a t^b / norm_sq(a, b), summed row by row with each row's sum over
+  b in closed form, and an analytic geometric tail bound.
 
 * Monte Carlo integration against uniform samples, for inner products and
   for the reproducing property itself.
@@ -126,37 +126,13 @@ def basis_norms(spec: DomainSpec, a_max: int, b_max: int) -> list[MonomialIndex]
 @dataclass(frozen=True)
 class SeriesTruncation:
     a_max: int
-    b_max: int
+    b_max: int | None
     terms_used: int
     tail_estimate: float
 
 
-def _sum_rectangle(spec: DomainSpec, s: complex, t: complex, a_max: int, b_max: int):
-    """(partial sum, terms, tail bound) of the series on the rectangle a <= a_max, b <= b_max."""
-    g = _require_triangle(spec)
-    gf = float(g)
-    bmins = [_b_min(g, a) for a in range(a_max + 1)]
-    # Longest row: b_min is nonincreasing in a.
-    tpow = np.power(t, np.arange(b_max - bmins[-1] + 1))
-    total = 0.0j
-    terms = 0
-    # Running row leader s^a t^(b_min(a)).  For in-domain pairs
-    # |s| < |t|^{1/gamma}, so |lead| <= |t|^(-1 - 1/gamma): bounded, and the
-    # update below never multiplies a huge power by a tiny one.
-    lead = t ** bmins[0]
-    for a in range(a_max + 1):
-        length = b_max - bmins[a] + 1
-        m = np.arange(length)
-        coef = (2 * a + 2) * (2.0 * (bmins[a] + m) + 2.0 + (2 * a + 2) / gf)
-        total += lead * np.dot(tpow[:length], coef)
-        terms += length
-        if a < a_max:
-            lead *= s * t ** (bmins[a + 1] - bmins[a])
-    return total / (4.0 * PI_SQ), terms, _tail_bound(spec, abs(s), abs(t), a_max, b_max)
-
-
-def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float, a_max: int, b_max: int) -> float:
-    """Upper bound on the dropped series mass, from geometric closed forms."""
+def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float, a_max: int, b_max: int | None) -> float:
+    """Upper bound on the dropped series mass; b_max=None drops only the rows a > a_max."""
     g = _require_triangle(spec)
     gf = float(g)
     x = abs_t
@@ -170,14 +146,15 @@ def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float, a_max: int, b_max:
     # Rows a <= a_max, dropped powers b > b_max:
     #   sum_{b > B} x^b (2b + c) = 2 x^(B+1) ((B+1)(1-x) + x)/(1-x)^2
     #                              + c x^(B+1)/(1-x).
-    xB = x ** (b_max + 1)
     t1 = 0.0
-    spow = 1.0
-    for a in range(a_max + 1):
-        c = 2.0 + (2 * a + 2) / gf
-        tail_b = 2.0 * xB * ((b_max + 1) * one_mx + x) / one_mx**2 + c * xB / one_mx
-        t1 += spow * (2 * a + 2) * tail_b
-        spow *= abs_s
+    if b_max is not None:
+        xB = x ** (b_max + 1)
+        spow = 1.0
+        for a in range(a_max + 1):
+            c = 2.0 + (2 * a + 2) / gf
+            tail_b = 2.0 * xB * ((b_max + 1) * one_mx + x) / one_mx**2 + c * xB / one_mx
+            t1 += spow * (2 * a + 2) * tail_b
+            spow *= abs_s
 
     # Rows a > a_max in full.  Using |t|^b_min(a) <= |t|^(-1-(a+1)/gamma) and
     # the coefficient bound at b = b_min, each row is at most
@@ -197,39 +174,56 @@ def kernel_series(
     tol: float | None = 1e-8,
     *,
     check: bool = True,
-    max_rect: int = 16384,
+    max_rect: int = 2**17,
 ) -> tuple[complex, SeriesTruncation]:
-    """Partial series sum with a certified tail bound.
+    """Series sum over rows a = 0, 1, ..., each summed over b in closed form.
 
-    Returns the first candidate rectangle whose tail bound is at most
-    tol * max(1, |partial sum|) (tol=None accepts the first): the given
-    a_max/b_max, or else squares of side 32, 64, ... up to max_rect.  If none
-    does, NonconvergentTruncation names the last.  A tolerance that is not
-    positive (zero, negative or NaN) raises ValueError before any summing.
+    The tail bound must be at most tol * max(1, |sum|) (tol=None accepts any).
+    Given a_max/b_max, rows 0..a_max are cut at b_max: the rectangle of terms.
+    Otherwise whole rows are added until the bound on the rest passes, up to
+    row max_rect; NonconvergentTruncation names the last row summed.  A
+    tolerance that is not > 0 (NaN too), or a negative bound, raises
+    ValueError before any summing.
     """
     if (a_max is None) != (b_max is None):
         raise ValueError("give both a_max and b_max, or neither for auto truncation")
     if tol is not None and not tol > 0:
         raise ValueError(f"series tolerance must be > 0, got {tol}")
+    if min(max_rect, a_max or 0, b_max or 0) < 0:
+        raise ValueError("truncation bounds must be nonnegative")
+    if a_max is None and tol is None:
+        raise ValueError("auto truncation requires a tolerance")
     if check:
         require_inside(spec, z, name="z")
         require_inside(spec, w, name="w")
+    g = _require_triangle(spec)
+    gf = float(g)
     s = z.z1 * w.z1.conjugate()
     t = z.z2 * w.z2.conjugate()
-    if a_max is not None:
-        rects = [(a_max, b_max)]
-    elif tol is None:
-        raise ValueError("auto truncation requires a tolerance")
-    else:
-        sides = [32]
-        while sides[-1] < max_rect:
-            sides.append(2 * sides[-1])
-        rects = [(side, side) for side in sides]
-    for a, b in rects:
-        value, terms, tail = _sum_rectangle(spec, s, t, a, b)
-        if tol is None or tail <= tol * max(1.0, abs(value)):
-            return value, SeriesTruncation(a, b, terms, tail)
-    raise NonconvergentTruncation(f"tail bound {tail:.3e} exceeds tolerance at rectangle ({a}, {b})")
+    # sum_{b >= beta} t^b (2b + c) = t^beta ((2 beta + c) inv + ramp).
+    inv = 1.0 / (1.0 - t)
+    ramp = 2.0 * t * inv * inv
+    beta = _b_min(g, 0)
+    # Running row leader s^a t^(b_min(a)).  For in-domain pairs
+    # |s| < |t|^{1/gamma}, so |lead| <= |t|^(-1 - 1/gamma): bounded, and the
+    # update below never multiplies a huge power by a tiny one.
+    lead = t**beta
+    total = 0.0j
+    for a in range(max_rect + 1 if a_max is None else a_max + 1):
+        c = 2.0 + (2 * a + 2) / gf
+        row = (2 * beta + c) * inv + ramp
+        if b_max is not None:
+            row -= t ** (b_max + 1 - beta) * ((2 * b_max + 2 + c) * inv + ramp)
+        total += (2 * a + 2) * lead * row
+        if a == a_max or a_max is None:
+            value = total / (4.0 * PI_SQ)
+            tail = _tail_bound(spec, abs(s), abs(t), a, b_max)
+            if tol is None or tail <= tol * max(1.0, abs(value)):
+                return value, SeriesTruncation(a, b_max, a + 1, tail)
+        nxt = _b_min(g, a + 1)
+        lead *= s * t ** (nxt - beta)
+        beta = nxt
+    raise NonconvergentTruncation(f"tail bound {tail:.3e} exceeds tolerance at row {a}")
 
 
 @dataclass(frozen=True)

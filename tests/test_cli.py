@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,17 @@ class TestChecks:
         )
         assert code == 0
         assert doc["results"]["max_rel_dev"] <= 1e-6
+
+    @pytest.mark.parametrize("spec, seed", [("fat:1", "700006"), ("thin:4", "2066")])
+    def test_series_compare_near_rho_one_passes(self, capsys, spec, seed):
+        # Each draws a pair with rho = |s|/|t|^(1/gamma) within 0.002 of 1,
+        # which needs 2-4 x 10^4 whole rows.
+        t0 = time.perf_counter()
+        code, doc, _ = run_json(capsys, "series-compare", "--spec", spec, "--pairs", "25",
+                                "--seed", seed)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert max(p["terms"] for p in doc["results"]["pairs"]) > 16384
 
     def test_series_compare_nonconvergent_exits_two(self, capsys, monkeypatch, tmp_path):
         def no_tail(*args, **kwargs):
@@ -427,6 +442,19 @@ class TestUsageErrors:
         assert not target.exists()
 
 
+    def test_unsampleable_domain_exits_one_in_bounded_time(self, capsys):
+        # thin:200000 accepts almost no proposal; the sampler gives up
+        # after its round cap instead of running on.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "series-compare", "--spec", "thin:200000", "--pairs", "1")
+        assert time.perf_counter() - t0 < 30.0
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("hartogs-bergman series-compare: error: rejection sampling on "
+                              "thin:200000 accepted ")
+
+
 class TestUncoveredCommands:
     def test_zero_scan_circle_emits_cell_rows(self, capsys):
         code, out, _ = run(capsys, "zero-scan", "--k", "2", "--s-points", "3", "--t-abs", "0.5",
@@ -443,3 +471,15 @@ class TestUncoveredCommands:
         assert res["quadrature_volume"] == pytest.approx(9.869604401089358, rel=1e-15)
         assert res["acceptance_ratio"] == 1.0
         assert res["rel_dev"] == 0.0
+
+
+def test_make_tables_writes_every_table(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_tables.py"), "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == 44

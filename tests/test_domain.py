@@ -152,6 +152,18 @@ class TestMembershipPredicate:
             # The jitter straddles the margin, so both verdicts occur.
             assert 0 < verdicts.sum() < verdicts.size, face
 
+    def test_integer_power_matches_repeated_products(self):
+        x = np.random.default_rng(33).random(10_000)
+        # k = 2 and 3 are the same products as x*x and x*x*x, bit for bit.
+        assert np.array_equal(domain._ipow(x, 2), x * x)
+        assert np.array_equal(domain._ipow(x, 3), x * x * x)
+        x = 1.0 - x * 1e-3
+        for k in (4, 5, 8, 13, 1000):
+            # Floats and arrays round alike, each within k roundings of x**k.
+            y = domain._ipow(x, k)
+            assert y[:50].tolist() == [domain._ipow(v, k) for v in x[:50].tolist()]
+            assert np.allclose(y, x**k, rtol=k * 2.3e-16, atol=0.0)
+
 
 class TestSpecParsing:
     def test_round_trip(self):

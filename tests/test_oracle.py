@@ -202,14 +202,25 @@ class TestSeries:
             kernel_series(spec, z, z, a_max=4, b_max=4, tol=1e-10)
 
     def test_auto_truncation_raises_at_max_rect(self):
-        # |t| = 0.98: the tail after 64 powers is still ~0.98^65.
-        z = Point2C(0.0, 0.99)
-        with pytest.raises(NonconvergentTruncation, match=r"at rectangle \(64, 64\)"):
-            kernel_series(DomainSpec.fat(2), z, z, tol=1e-8, max_rect=64)
+        # rho = |s|/|t| = 0.998 on the classical diagonal: the rows beyond 64
+        # still carry ~0.998^65 of the mass; the tolerance needs ~10^4 rows.
+        z = Point2C(0.4995, 0.5)
+        with pytest.raises(NonconvergentTruncation, match=r"at row 64$"):
+            kernel_series(DomainSpec.fat(1), z, z, tol=1e-8, max_rect=64)
 
     def test_rejects_half_specified_rectangle(self):
         with pytest.raises(ValueError):
             kernel_series(DomainSpec.fat(2), Point2C(0.1, 0.5), Point2C(0.1, 0.5), a_max=10)
+
+    @pytest.mark.parametrize(
+        "bounds", [dict(a_max=-1, b_max=5), dict(a_max=5, b_max=-3), dict(max_rect=-1)], ids=repr
+    )
+    def test_negative_bound_raises(self, bounds):
+        # b_max = -3 once certified 1.66e-7 with a negative tail bound; the
+        # value is 0.465.
+        z = Point2C(0.1, 0.5)
+        with pytest.raises(ValueError, match="truncation bounds must be nonnegative"):
+            kernel_series(DomainSpec.fat(2), z, z, tol=1e-8, **bounds)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
     @pytest.mark.parametrize("rect", [None, 40])
@@ -220,6 +231,50 @@ class TestSeries:
         with pytest.raises(ValueError, match="series tolerance must be > 0"):
             kernel_series(spec, z, z, a_max=rect, b_max=rect, tol=tol)
         assert time.perf_counter() - t0 < 1.0
+
+
+ROW_SUM_SPECS = [DomainSpec.fat(k) for k in (1, 2, 3, 4)] + [DomainSpec.thin(k) for k in (2, 3, 4)]
+
+
+def _row_sum_pairs(spec):
+    z1, z2 = sample_uniform_arrays(spec, 6, seed=5)
+    return [(Point2C(z1[i], z2[i]), Point2C(z1[3 + i], z2[3 + i])) for i in range(3)]
+
+
+class TestSeriesRowSums:
+    """The closed-form row sums against the series written out term by term."""
+
+    @pytest.mark.parametrize("spec", ROW_SUM_SPECS, ids=str)
+    def test_explicit_mode_is_the_literal_rectangle(self, spec):
+        n = 40
+        norms = [(a, b, monomial_norm_sq(spec, a, b))
+                 for a in range(n + 1) for b in range(b_min(spec, a), n + 1)]
+        for z, w in _row_sum_pairs(spec):
+            s = z.z1 * w.z1.conjugate()
+            t = z.z2 * w.z2.conjugate()
+            literal = sum(s**a * t**b / norm for a, b, norm in norms)
+            value, trunc = kernel_series(spec, z, w, a_max=n, b_max=n, tol=None)
+            assert abs(value - literal) <= 1e-13 * abs(literal)
+            assert (trunc.a_max, trunc.b_max, trunc.terms_used) == (n, n, n + 1)
+
+    @pytest.mark.parametrize("spec", ROW_SUM_SPECS, ids=str)
+    def test_auto_mode_within_its_tail_of_a_large_rectangle(self, spec):
+        # Both tail bounds are certified distances to the full series.  The
+        # 400 x 400 rectangle is the explicit mode, matched term by term above.
+        for z, w in _row_sum_pairs(spec):
+            value, trunc = kernel_series(spec, z, w, tol=1e-10)
+            rect, rect_trunc = kernel_series(spec, z, w, a_max=400, b_max=400, tol=None)
+            tails = trunc.tail_estimate + rect_trunc.tail_estimate
+            assert abs(value - rect) <= tails + 1e-13 * abs(rect)
+            assert trunc.b_max is None
+            assert trunc.terms_used == trunc.a_max + 1
+
+    def test_zero_s_is_certified_by_the_first_row(self):
+        # s = 0 leaves row 0 alone, summed in full however close |t| is to 1.
+        z = Point2C(0.0, 0.99)
+        value, trunc = kernel_series(DomainSpec.fat(2), z, z)
+        assert (trunc.a_max, trunc.terms_used, trunc.tail_estimate) == (0, 1, 0.0)
+        assert abs(value - bergman_fat(2, z, z).value) <= 1e-12 * abs(value)
 
 
 class TestFunctionParsing:
