@@ -265,18 +265,18 @@ def _series_argv(spec, seed, *extra):
 # pair draws, the kernel calls and their order are a contract: the reports
 # must stay byte-identical when the loops behind them are restructured.
 GOLDEN_PAIR_CHECKS = {
-    _series_argv("fat:1", 3): (0, "38149b6d66216e5da3fbf7deff94f64ac283c4bce5f5d757a67208a7f60f30cd"),
-    _series_argv("fat:1", 19): (0, "b4bdfea967c31e383d83d77e77212561f002014a4da20052db60cbf8a4123ef6"),
-    _series_argv("fat:2", 3): (0, "ac559caaaf9489c9ab5ac1fe5093bd907e771adcfe0396626788e3599df30c8f"),
-    _series_argv("fat:2", 19): (0, "4ecda4cab42c850743176b71c66f0adfd25e468b20b86452d4a7c3e662d7dd36"),
-    _series_argv("fat:4", 3): (0, "f75fd257244e9628e25ffbf0a14c3ea5beda39c0194bb41cd2f98d6624b8b5f3"),
-    _series_argv("fat:4", 19): (0, "8b054180bd3ce757ab1f046fc7ea4b9774c1012416f23cf7ec6aa298c6b94d1c"),
-    _series_argv("thin:2", 3): (0, "91f9274ed4ecde7a7ae0e7ac1d162403191ba9515345db27910a6423603842e0"),
-    _series_argv("thin:2", 19): (0, "095d3b70ff1304d5e6bda880cc47d2806d815012ecf6b83718511e840510f2f8"),
-    _series_argv("thin:3", 3): (0, "7eb5ce2ff1d40371a4d7f1a0b1f459ac76894797fdb0b9e811ccc5fbca9497df"),
-    _series_argv("thin:3", 19): (0, "92c16168b1ca541d9297f6c2dfbde305ad900f13d83046d26150e88393b1aeca"),
+    _series_argv("fat:1", 3): (0, "69e32c7f6f8b91a4f27eb890b99293ed902c7a0c2775b5fc13d83a9923dff86a"),
+    _series_argv("fat:1", 19): (0, "c0439a8ec57fa74c709fc7e75f742a797c673ba4c9a81a93c5abc47df441f0f8"),
+    _series_argv("fat:2", 3): (0, "a041dc7f1e80bf39ef3f21ab739dee03676f5df128160a782c4fa49acb5a1c47"),
+    _series_argv("fat:2", 19): (0, "ea606e2230a783fb1c985a337d26bb9800a752d67039b952317bd58944efeb2c"),
+    _series_argv("fat:4", 3): (0, "0ef4c763eacb379a502f80e1ec4d447a1e2e8bf6b8305c085828e6fc996e1543"),
+    _series_argv("fat:4", 19): (0, "30b01d6f09946ec321e88c3e8170ab9711b761627295d3fa71ff6e4ae66e6ac1"),
+    _series_argv("thin:2", 3): (0, "05a51a5934cdf1f46bda238a47cebd5c95739cec3b2a1e2fa3d654fef9ff3af6"),
+    _series_argv("thin:2", 19): (0, "33a59e3a729d347daa2a71f39cef9c95729bdb7b22fb643005ebfdf32f14e6cf"),
+    _series_argv("thin:3", 3): (0, "2a2ad00160646fcf9181d5628a490add7b568c0dcabcfe57535b2c7b2ac7ebff"),
+    _series_argv("thin:3", 19): (0, "2343a98727cc3894f3e64c5a89089180d03b8c5826896c9b78727d0a7d5b115c"),
     _series_argv("thin:2", 5, "--thin-variant", "1-s", "--max-mod", "0.3"):
-        (2, "9524dd5dd5fff4dbe0f7d818e001bbbb54098567a4dc92c0da95feeb6c9158ac"),
+        (2, "d74216bca41b8611c3513108729bfd9185a0aecc24a7e1b03071c815ccee540f"),
     ("bell-check", "--k", "2", "--pairs", "40", "--seed", "11"):
         (0, "53e447334b87737ba4a5ee279fcbb024d9127593fe617e1cc412c758c67bc5c3"),
     ("bell-check", "--k", "3", "--pairs", "40", "--seed", "11"):
@@ -297,7 +297,7 @@ GOLDEN_PAIR_CHECKS = {
      "--seed", "13"):
         (0, "f8a2292a4042b8dc0d026fdb4fbec6a339f1b2123c35f95920618436908e5ae1"),
     ("reproduce", "--only", "2", "3", "4", "5"):
-        (0, "17f06d37e03d3c8fe5fead1f6a451d28f62a5bb1d4ef9c532b2549cd0cebfb1f"),
+        (0, "d865a1fb0b8a1d74dd8686a5c11c6a1585cefe24fa8494f2edbb5c3f67e30c55"),
 }
 
 
