@@ -125,6 +125,8 @@ def basis_norms(spec: DomainSpec, a_max: int, b_max: int) -> list[MonomialIndex]
 
 @dataclass(frozen=True)
 class SeriesTruncation:
+    """Last row summed, the given b_max (None in auto mode), rows summed and the tail bound."""
+
     a_max: int
     b_max: int | None
     terms_used: int
