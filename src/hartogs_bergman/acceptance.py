@@ -26,7 +26,8 @@ from .analysis import (
     thin_nonvanishing,
 )
 from .domain import DomainError, DomainSpec, PathKind, Point2C, boundary_paths, sample_chunks
-from .kernels import THIN_VARIANT_DEFAULT, ThinVariant, bergman_reference, bergman_thin, kernel
+from .kernels import (THIN_VARIANT_DEFAULT, ThinVariant, bergman_reference, bergman_thin,
+                      kernel_num_den, pair_invariants)
 from .oracle import (
     Monomial,
     inner_products_mc,
@@ -36,7 +37,7 @@ from .oracle import (
     reproducing_residuals_batch,
 )
 from .polynomials import verify_coefficient_identities
-from .transforms import ProperMap, bell_residual, biholo_residual, shear, shear_iter
+from .transforms import ProperMap, covering_residuals, invariance_residuals, shear, shear_iter
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_all", "series_deviations", "bell_residuals",
            "biholo_residuals"]
@@ -84,24 +85,27 @@ _PAIR_ROUNDS = 10_001  # rejection rounds before _pairs gives up on its filter
 _PAIR_BATCH = 512  # candidate pairs per round: point i is paired with point _PAIR_BATCH + i
 
 
-def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None):
-    """First n_pairs of independent uniform point pairs (z, w) passing ``keep(s, t)``.
-
-    s = z1 conj(w1) and t = z2 conj(w2) are Python complex products, as in ``kernel`` (numpy's
-    can differ in the last bit); only kept pairs become points.
-    """
+def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None) -> np.ndarray:
+    """First n_pairs of independent uniform point pairs passing the mask ``keep(s, t)``, one
+    row (z1, z2, w1, w2) each: round r pairs rows i and _PAIR_BATCH + i of chunk r."""
     if n_pairs < 1:
         raise ValueError(f"pair count must be >= 1, got {n_pairs}")
-    out = []
+    kept, got = [], 0
     for z1, z2 in sample_chunks(spec, _PAIR_ROUNDS * 2 * _PAIR_BATCH, seed, 2 * _PAIR_BATCH):
-        z1, z2 = z1.tolist(), z2.tolist()
-        for i, j in enumerate(range(_PAIR_BATCH, 2 * _PAIR_BATCH)):
-            if keep is None or keep(z1[i] * z1[j].conjugate(), z2[i] * z2[j].conjugate()):
-                out.append((Point2C(z1[i], z2[i]), Point2C(z1[j], z2[j])))
-                if len(out) == n_pairs:
-                    return out
+        rows = np.stack([z1[:_PAIR_BATCH], z2[:_PAIR_BATCH], z1[_PAIR_BATCH:], z2[_PAIR_BATCH:]], 1)
+        if keep is not None:
+            rows = rows[keep(*pair_invariants(*rows.T))]
+        kept.append(rows[: n_pairs - got])
+        got += len(kept[-1])
+        if got == n_pairs:
+            return np.concatenate(kept)
     # A ValueError: the filter's parameters, not the sampler, are at fault.
-    raise ValueError(f"pair filter on {spec} accepted {len(out)} of {n_pairs} pairs")
+    raise ValueError(f"pair filter on {spec} accepted {got} of {n_pairs} pairs")
+
+
+def _abs(x: np.ndarray) -> np.ndarray:
+    # |x| as Python's abs rounds it; numpy's complex abs can differ in the last bit.
+    return np.hypot(x.real, x.imag)
 
 
 def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float = 0.4,
@@ -114,13 +118,17 @@ def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float 
         raise ValueError(f"max_mod must be > 0, got {max_mod}")
 
     def small(s, t):
-        return abs(s) <= max_mod and abs(t) <= max_mod
+        return (_abs(s) <= max_mod) & (_abs(t) <= max_mod)
 
+    pairs = _pairs(spec, n_pairs, seed, keep=small)
+    num, den = kernel_num_den(spec, *pair_invariants(*pairs.T), thin_variant)
+    closed = np.divide(num, den, out=np.full(den.shape, complex("nan")), where=den != 0)
     rows = []
-    for z, w in _pairs(spec, n_pairs, seed, keep=small):
-        closed = kernel(spec, z, w, thin_variant=thin_variant).value
+    for (z1, z2, w1, w2), value in zip(pairs.tolist(), closed.tolist()):
+        z, w = Point2C(z1, z2), Point2C(w1, w2)
+        # kernel_series checks that z and w are inside.
         series, trunc = kernel_series(spec, z, w, tol=series_tol)
-        rows.append((z, w, closed, series, trunc, abs(series - closed) / abs(closed)))
+        rows.append((z, w, value, series, trunc, abs(series - value) / abs(value)))
     return rows
 
 
@@ -128,16 +136,14 @@ def bell_residuals(k: int, n_pairs: int, seed_z: int, seed_w: int) -> list[float
     """Bell's covering-rule residuals, z from the classical triangle and w from fat:k."""
     zs = _pairs(DomainSpec.classical(), n_pairs, seed_z)
     ws = _pairs(DomainSpec.fat(k), n_pairs, seed_w)
-    return [bell_residual(k, z, w) for (z, _), (w, _) in zip(zs, ws)]
+    return covering_residuals(k, zs[:, 0], zs[:, 1], ws[:, 0], ws[:, 1]).tolist()
 
 
 def biholo_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, n_pairs: int, seed: int,
                      thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> list[float]:
     """Transformation residuals of the biholomorphism m: src -> dst on pairs of src."""
-    return [
-        biholo_residual(m, src, dst, z, w, thin_variant=thin_variant)
-        for z, w in _pairs(src, n_pairs, seed)
-    ]
+    pairs = _pairs(src, n_pairs, seed)
+    return invariance_residuals(m, src, dst, *pairs.T, thin_variant=thin_variant).tolist()
 
 
 @_criterion(1, "exact-identities", budget_s=5.0)
@@ -170,9 +176,10 @@ def criterion_3_thin_resolution():
         m = shear_iter(k)
 
         def workable(s, t):
-            return abs(t) <= 0.7 and abs(s) <= 0.75 * abs(t) ** k
+            return (_abs(t) <= 0.7) & (_abs(s) <= 0.75 * _abs(t) ** k)
 
-        for z, w in _pairs(spec, 25, seed=2000 + k, keep=workable):
+        for z1, z2, w1, w2 in _pairs(spec, 25, seed=2000 + k, keep=workable).tolist():
+            z, w = Point2C(z1, z2), Point2C(w1, w2)
             series, _ = kernel_series(spec, z, w, tol=1e-10)
             pull = (
                 m.jacobian(z)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -459,8 +460,12 @@ def _emit(payload, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
+# One parser per process, built on the first main call; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         payload, code = _COMMANDS[args.command](args)

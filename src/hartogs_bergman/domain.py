@@ -30,6 +30,7 @@ __all__ = [
     "PathKind",
     "BoundaryPath",
     "contains",
+    "inside_mask",
     "require_inside",
     "boundary_distance",
     "sample_chunks",
@@ -167,8 +168,8 @@ def _ipow(x, k: int):
 def _inside_moduli(spec: DomainSpec, r1, r2):
     """Strict membership decided on the moduli (r1, r2) = (|z1|, |z2|).
 
-    The single membership predicate: the sampler, ``_inside_mask`` and
-    ``contains`` all call it, with numpy arrays or Python floats alike.
+    The single membership predicate: the sampler and ``inside_mask`` call
+    it, with numpy arrays or Python floats alike.
     Only +, -, * and comparisons are used, so both argument types give the
     same verdict bit for bit, even within ulps of the margin.
     """
@@ -187,17 +188,18 @@ def _inside_moduli(spec: DomainSpec, r1, r2):
     return inside
 
 
-def _inside_mask(spec: DomainSpec, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    r1 = np.sqrt(z1.real * z1.real + z1.imag * z1.imag)
-    r2 = np.sqrt(z2.real * z2.real + z2.imag * z2.imag)
+def inside_mask(spec: DomainSpec, z1, z2):
+    """Strict membership of (z1, z2), a mask for arrays and a bool for Python complex, bit for
+    bit alike; points within BOUNDARY_MARGIN of the boundary are out."""
+    sqrt = np.sqrt if isinstance(z1, np.ndarray) else math.sqrt
+    r1 = sqrt(z1.real * z1.real + z1.imag * z1.imag)
+    r2 = sqrt(z2.real * z2.real + z2.imag * z2.imag)
     return _inside_moduli(spec, r1, r2)
 
 
 def contains(spec: DomainSpec, p: Point2C) -> bool:
-    """Strict membership; points within BOUNDARY_MARGIN of the boundary are out."""
-    r1 = math.sqrt(p.z1.real * p.z1.real + p.z1.imag * p.z1.imag)
-    r2 = math.sqrt(p.z2.real * p.z2.real + p.z2.imag * p.z2.imag)
-    return bool(_inside_moduli(spec, r1, r2))
+    """Strict membership of one point (``inside_mask`` on Python complex)."""
+    return bool(inside_mask(spec, p.z1, p.z2))
 
 
 def require_inside(spec: DomainSpec, p: Point2C, name: str = "point") -> None:
@@ -368,7 +370,7 @@ def sampling_acceptance(spec: DomainSpec, n_proposals: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     c1 = _disc_samples(rng, n_proposals)
     c2 = _disc_samples(rng, n_proposals)
-    return float(np.mean(_inside_mask(spec, c1, c2)))
+    return float(np.mean(inside_mask(spec, c1, c2)))
 
 
 def volume(spec: DomainSpec) -> float:

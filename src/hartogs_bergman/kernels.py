@@ -49,6 +49,7 @@ __all__ = [
     "THIN_VARIANT_ALTERNATE",
     "SingularEvaluation",
     "KernelArgs",
+    "pair_invariants",
     "KernelValue",
     "bergman_fat",
     "bergman_thin",
@@ -92,6 +93,14 @@ class KernelArgs:
     @staticmethod
     def from_points(z: Point2C, w: Point2C) -> "KernelArgs":
         return KernelArgs(z.z1 * w.z1.conjugate(), z.z2 * w.z2.conjugate())
+
+
+def pair_invariants(z1, z2, w1, w2):
+    """(s, t) on arrays of pairs, rounded as ``kernel``'s Python complex products
+    round them (numpy's complex multiply can differ in the last bit)."""
+    parts = [(a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag)
+             for a, b in ((z1, w1), (z2, w2))]
+    return tuple(np.stack(p, axis=-1).view(np.complex128)[..., 0] for p in parts)
 
 
 @dataclass(frozen=True)

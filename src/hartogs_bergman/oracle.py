@@ -133,38 +133,39 @@ class SeriesTruncation:
     tail_estimate: float
 
 
-def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float, a_max: int, b_max: int | None) -> float:
-    """Upper bound on the dropped series mass; b_max=None drops only the rows a > a_max."""
+def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float):
+    """Upper bound on the dropped series mass as a function of (a_max, b_max), with what does not
+    depend on them computed once; b_max=None drops only the rows a > a_max."""
     g = _require_triangle(spec)
     gf = float(g)
     x = abs_t
-    if x >= 1.0:
-        return math.inf
-    rho = abs_s * x ** (-1.0 / gf)
+    rho = math.inf if x >= 1.0 else abs_s * x ** (-1.0 / gf)
     if rho >= 1.0:
-        return math.inf
+        return lambda a_max, b_max: math.inf
     one_mx = 1.0 - x
-
-    # Rows a <= a_max, dropped powers b > b_max:
-    #   sum_{b > B} x^b (2b + c) = 2 x^(B+1) ((B+1)(1-x) + x)/(1-x)^2
-    #                              + c x^(B+1)/(1-x).
-    t1 = 0.0
-    if b_max is not None:
-        xB = x ** (b_max + 1)
-        spow = 1.0
-        for a in range(a_max + 1):
-            c = 2.0 + (2 * a + 2) / gf
-            tail_b = 2.0 * xB * ((b_max + 1) * one_mx + x) / one_mx**2 + c * xB / one_mx
-            t1 += spow * (2 * a + 2) * tail_b
-            spow *= abs_s
-
     # Rows a > a_max in full.  Using |t|^b_min(a) <= |t|^(-1-(a+1)/gamma) and
     # the coefficient bound at b = b_min, each row is at most
     # (2a+2) rho^a |t|^(-1-1/gamma) (2/(1-x) + 2x/(1-x)^2).
     pref = x ** (-1.0 - 1.0 / gf) * (2.0 / one_mx + 2.0 * x / one_mx**2)
-    geom = 2.0 * rho ** (a_max + 1) * ((a_max + 2) * (1.0 - rho) + rho) / (1.0 - rho) ** 2
-    t2 = pref * geom
-    return (t1 + t2) / (4.0 * PI_SQ)
+
+    def bound(a_max: int, b_max: int | None) -> float:
+        # Rows a <= a_max, dropped powers b > b_max:
+        #   sum_{b > B} x^b (2b + c) = 2 x^(B+1) ((B+1)(1-x) + x)/(1-x)^2
+        #                              + c x^(B+1)/(1-x).
+        t1 = 0.0
+        if b_max is not None:
+            xB = x ** (b_max + 1)
+            spow = 1.0
+            for a in range(a_max + 1):
+                c = 2.0 + (2 * a + 2) / gf
+                tail_b = 2.0 * xB * ((b_max + 1) * one_mx + x) / one_mx**2 + c * xB / one_mx
+                t1 += spow * (2 * a + 2) * tail_b
+                spow *= abs_s
+        geom = 2.0 * rho ** (a_max + 1) * ((a_max + 2) * (1.0 - rho) + rho) / (1.0 - rho) ** 2
+        t2 = pref * geom
+        return (t1 + t2) / (4.0 * PI_SQ)
+
+    return bound
 
 
 def kernel_series(
@@ -211,6 +212,7 @@ def kernel_series(
     # update below never multiplies a huge power by a tiny one.
     lead = t**beta
     total = 0.0j
+    tail_bound = _tail_bound(spec, abs(s), abs(t))
     for a in range(max_rect + 1 if a_max is None else a_max + 1):
         c = 2.0 + (2 * a + 2) / gf
         row = (2 * beta + c) * inv + ramp
@@ -219,7 +221,7 @@ def kernel_series(
         total += (2 * a + 2) * lead * row
         if a == a_max or a_max is None:
             value = total / (4.0 * PI_SQ)
-            tail = _tail_bound(spec, abs(s), abs(t), a, b_max)
+            tail = tail_bound(a, b_max)
             if tol is None or tail <= tol * max(1.0, abs(value)):
                 return value, SeriesTruncation(a, b_max, a + 1, tail)
         nxt = _b_min(g, a + 1)

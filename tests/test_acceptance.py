@@ -5,6 +5,7 @@ pass/fail lines as they complete (criterion 7 draws 10^7 Monte Carlo
 samples per domain and dominates the runtime).
 """
 
+import numpy as np
 import pytest
 
 from hartogs_bergman import acceptance, domain
@@ -52,6 +53,28 @@ def test_pair_filter_builds_points_only_for_kept_pairs(monkeypatch):
     rows = series_deviations(DomainSpec.fat(2), 25, seed=1002)
     assert len(rows) == 25
     assert len(built) == 50
+
+
+@pytest.mark.parametrize("spec", [DomainSpec.classical(), DomainSpec.fat(3), DomainSpec.thin(2)], ids=str)
+def test_pairs_are_rows_i_and_512_plus_i_of_each_chunk(spec):
+    # 700 pairs span two chunks; the filter keeps ~8-42% of them, so 40 chunks hold 700 kept.
+    n, seed = 700, 41
+
+    def near(s, t):
+        return np.abs(t) < 0.5
+
+    chunks = domain.sample_chunks(spec, 40 * 1024, seed, 1024)
+    rows = np.concatenate([np.stack([z1[:512], z2[:512], z1[512:], z2[512:]], 1) for z1, z2 in chunks])
+    # keep sees s and t as kernel forms them, in Python complex.
+    s, t = (np.array([a * b.conjugate() for a, b in zip(rows[:, i].tolist(), rows[:, i + 2].tolist())])
+            for i in (0, 1))
+    pairs = acceptance._pairs(spec, n, seed)
+    assert len(pairs) == n
+    assert np.array_equal(pairs, rows[:n])
+    kept = acceptance._pairs(spec, n, seed, keep=near)
+    assert len(kept) == n
+    assert np.array_equal(kept, rows[near(s, t)][:n])
+    assert np.count_nonzero(near(s, t)) >= n
 
 
 def _stub(number, calls):

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hartogs_bergman import acceptance
+from hartogs_bergman import acceptance, cli
 from hartogs_bergman.acceptance import criterion_2_fat_series
 from hartogs_bergman.cli import main
+from hartogs_bergman.domain import DomainSpec, Point2C, contains
 from hartogs_bergman.oracle import NonconvergentTruncation
 
 
@@ -453,6 +454,54 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith("hartogs-bergman series-compare: error: rejection sampling on "
                               "thin:200000 accepted ")
+
+
+    def test_bell_check_names_the_image_outside_fat(self, capsys):
+        # Pair 86's z is inside the classical triangle, but its image
+        # phi(z) = (z1, z2^40) falls in fat:40's margin band.
+        code, out, err = run(capsys, "bell-check", "--k", "40", "--pairs", "300")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("hartogs-bergman bell-check: error: phi(z) ((-0.2077168420736706+")
+        assert err.endswith(" is not inside fat:40\n")
+        z1, z2 = acceptance._pairs(DomainSpec.classical(), 300, 7)[86, :2]
+        assert z1 == complex("-0.2077168420736706+0.08693542886080616j")
+        assert contains(DomainSpec.classical(), Point2C(z1, z2))
+
+
+class TestParserReuse:
+    """main builds one parser per process; each call must behave as on a fresh parser."""
+
+    SEQUENCE = [
+        ("bell-check", "--k", "3", "--pairs", "5", "--seed", "7"),
+        ("eval", "--spec", "fat:2", "--z", "0.1,0", "0.5,0", "--w", "0.2,0", "0.6,0"),
+        ("bell-check", "--k", "x"),  # a usage error
+        ("ramadanov", "--kmax", "3", "--point", "0.1,0", "0.5,0"),
+        ("bell-check", "--k", "3", "--pairs", "5", "--seed", "7"),
+        ("ramadanov", "--kmax", "3"),  # the appended point above must not linger
+        ("asymptotics", "--spec", "fat:2", "--bound", "nan"),  # another usage error
+        ("reproducing", "--spec", "fat:2", "--n", "20000", "--seed", "3"),
+    ]
+
+    @staticmethod
+    def run_all(capsys, sequence):
+        results = []
+        for argv in sequence:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejected argv
+                code = exc.code
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys, monkeypatch):
+        shared = self.run_all(capsys, self.SEQUENCE)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+        assert shared == self.run_all(capsys, self.SEQUENCE)
+        assert [code for code, _ in shared] == [0, 0, 1, 0, 0, 0, 1, 0]
+        assert shared[0] == shared[4]
+        assert shared[3] != shared[5]
 
 
 class TestUncoveredCommands:

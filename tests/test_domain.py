@@ -27,7 +27,7 @@ from hartogs_bergman import domain
 from hartogs_bergman.domain import (
     BOUNDARY_MARGIN,
     _fill_uniform,
-    _inside_mask,
+    inside_mask,
     require_inside,
     sample_uniform_arrays,
     volume,
@@ -125,7 +125,7 @@ def _near_margin_moduli(spec, rng, n=2000):
 
 
 class TestMembershipPredicate:
-    """contains and _inside_mask share one predicate and must agree exactly."""
+    """contains and inside_mask share one predicate and must agree exactly."""
 
     def test_covers_every_kind(self):
         assert {spec.kind for spec in EVERY_KIND} == set(DomainKind)
@@ -133,7 +133,7 @@ class TestMembershipPredicate:
     @staticmethod
     def assert_agree(spec, z1, z2):
         scalar = [contains(spec, Point2C(a, b)) for a, b in zip(z1.tolist(), z2.tolist())]
-        assert scalar == _inside_mask(spec, z1, z2).tolist()
+        assert scalar == inside_mask(spec, z1, z2).tolist()
         return np.array(scalar)
 
     @pytest.mark.parametrize("spec", EVERY_KIND, ids=str)
@@ -275,7 +275,7 @@ class TestSampling:
         spec = DomainSpec.parse(text)
         z1, z2 = sample_uniform_arrays(spec, n, seed=20240)
         assert z1.shape == z2.shape == (n,)
-        assert _inside_mask(spec, z1, z2).all()
+        assert inside_mask(spec, z1, z2).all()
         digest = hashlib.sha256(z1.tobytes() + z2.tobytes()).hexdigest()
         assert digest == GOLDEN_STREAMS[(text, n)]
 

@@ -1,11 +1,13 @@
 """Modules of the package reach each other through public names only, only
-``oracle`` may start a thread, and only ``kernels`` reads the near-singular
-threshold."""
+``oracle`` may start a thread, only ``kernels`` reads the near-singular
+threshold, and every name the benchmark's tracer rebinds exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import hartogs_bergman
+from hartogs_bergman import cli
 
 PACKAGE_DIR = Path(hartogs_bergman.__file__).parent
 
@@ -78,3 +80,27 @@ def test_only_kernels_reads_the_near_singular_threshold():
         if "NEAR_SINGULAR_THRESHOLD" in set(names_used(path))
     }
     assert found == {"kernels"}
+
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def spans_table(name: str) -> ast.expr:
+    # The value of a top-level assignment in the tracer, read without importing it.
+    tree = ast.parse(SPANS.read_text(), filename=str(SPANS))
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == name)
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # REBINDS rows are (span, module, attr, recorder); the tracer also wraps the
+    # CLI_COMMANDS entries of cli._COMMANDS, cli._emit and acceptance.ALL_CRITERIA.
+    rebinds = [tuple(ast.literal_eval(e) for e in row.elts[1:3]) for row in spans_table("REBINDS").elts]
+    commands = ast.literal_eval(spans_table("CLI_COMMANDS"))
+    assert len(rebinds) == 20 and len(commands) == 4
+    names = [*rebinds, ("cli", "_emit"), ("acceptance", "ALL_CRITERIA")]
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"hartogs_bergman.{module}"), attr)]
+    missing += [f"cli._COMMANDS[{c!r}]" for c in commands if c not in cli._COMMANDS]
+    assert missing == []

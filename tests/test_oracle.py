@@ -277,6 +277,36 @@ class TestSeriesRowSums:
         assert abs(value - bergman_fat(2, z, z).value) <= 1e-12 * abs(value)
 
 
+# sha256 of float.hex of the tail bound at rows 0, 7, ..., 196 and b_max None, 0, 9, 40 over the
+# row-sum pair families, recorded from the one-piece bound before its per-call part was split off.
+TAIL_BOUND_DIGEST = "8683f0a4252683dbc5dcfed7a64f3c92fb41b825924ed3a1fe52e8ba5a15d38c"
+
+
+class TestTailBoundSplit:
+    """The per-call part of the tail bound is computed once, the per-row part at each row."""
+
+    def test_bits_match_the_one_piece_bound(self):
+        values = []
+        for spec in ROW_SUM_SPECS:
+            for z, w in _row_sum_pairs(spec):
+                bound = oracle._tail_bound(spec, abs(z.z1 * w.z1.conjugate()),
+                                           abs(z.z2 * w.z2.conjugate()))
+                values += [bound(a, b).hex() for a in range(0, 200, 7) for b in (None, 0, 9, 40)]
+        assert hashlib.sha256(" ".join(values).encode()).hexdigest() == TAIL_BOUND_DIGEST
+
+    @pytest.mark.parametrize("spec", ROW_SUM_SPECS, ids=str)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_auto_mode_stops_at_the_first_row_the_bound_passes(self, spec, tol):
+        for z, w in _row_sum_pairs(spec):
+            bound = oracle._tail_bound(spec, abs(z.z1 * w.z1.conjugate()), abs(z.z2 * w.z2.conjugate()))
+            value, trunc = kernel_series(spec, z, w, tol=tol)
+            assert trunc.tail_estimate == bound(trunc.a_max, None)
+            assert trunc.tail_estimate <= tol * max(1.0, abs(value))
+            assert trunc.terms_used == trunc.a_max + 1
+            # No earlier row passed; its partial sum was within 1% of value.
+            assert all(bound(a, None) > 0.99 * tol * max(1.0, abs(value)) for a in range(trunc.a_max))
+
+
 class TestFunctionParsing:
     def test_named_and_monomial_forms(self):
         assert parse_function("one") == Monomial(0, 0)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from hartogs_bergman import (
@@ -19,6 +20,7 @@ from hartogs_bergman import (
     shear_iter_inv,
 )
 from hartogs_bergman.domain import contains, sample_uniform_arrays
+from hartogs_bergman.transforms import covering_residuals, invariance_residuals
 
 
 def pairs_of(spec, n, seed):
@@ -242,3 +244,98 @@ class TestBiholoInvariance:
             biholo_residual(
                 shear(), DomainSpec.classical(), DomainSpec.punctured_bidisc(), corner, corner
             )
+
+
+
+def columns(pairs):
+    """(z, w) point pairs as the four arrays z1, z2, w1, w2."""
+    return [np.array([getattr(pair[i], c) for pair in pairs])
+            for i, c in ((0, "z1"), (0, "z2"), (1, "z1"), (1, "z2"))]
+
+
+# The eight maps of the biholo-check workload, each with its default domains.
+BIHOLO_MAPS = [shear(), shear_inv(), *(f(k) for f in (shear_iter, shear_iter_inv) for k in (2, 3, 4))]
+CORNER = (1.0 - 2.6e-14, 1.0 - 1.2e-14)  # a classical point next to the corner (1, 1)
+
+
+def first_raised(calls):
+    """The exception the first failing call raises, as the one-pair loop meets it."""
+    try:
+        for call in calls:
+            call()
+    except (DomainError, SingularEvaluation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestArrayPath:
+    """The array rules against their one-pair wrappers, and the fault each reports."""
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_covering_residuals_match_the_wrapper(self, k):
+        zs = pairs_of(DomainSpec.classical(), 60, seed=60 + k)
+        ws = pairs_of(DomainSpec.fat(k), 60, seed=70 + k)
+        z1, z2, _, _ = columns(zs)
+        w1, w2, _, _ = columns(ws)
+        got = covering_residuals(k, z1, z2, w1, w2)
+        want = [bell_residual(k, z, w) for (z, _), (w, _) in zip(zs, ws)]
+        assert got.shape == (60,)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("m", BIHOLO_MAPS, ids=lambda m: f"{m.kind.value}-{m.k}")
+    def test_invariance_residuals_match_the_wrapper(self, m):
+        src, dst = m.default_source, m.default_target
+        pairs = pairs_of(src, 60, seed=80)
+        got = invariance_residuals(m, src, dst, *columns(pairs))
+        want = [biholo_residual(m, src, dst, z, w) for z, w in pairs]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_branch_roots_keep_the_seam_rule(self):
+        # Just below the positive real axis the base root's argument is near 2pi/k,
+        # unless it lies within 1e-15 of the seam, where it resolves to 0.
+        for below, base_arg in ((1e-16, 0.0), (1e-6, 2.0 * math.pi / 3)):
+            w = Point2C(0.0, 0.4 * cmath.exp(-1j * below))
+            last = branch_inverses(3, w)[-1]  # j = k: the base root itself
+            assert abs(last.preimage.z2 - 0.4 ** (1 / 3) * cmath.exp(1j * base_arg)) <= 1e-6
+
+    def bell_faults(self, points):
+        z1, z2, w1, w2 = columns(points)
+        loop = [lambda z=z, w=w: bell_residual(2, z, w) for z, w in points]
+        return first_raised([lambda: covering_residuals(2, z1, z2, w1, w2)]), first_raised(loop)
+
+    def test_singular_pair_before_an_outside_pair_is_singular(self):
+        corner = Point2C(1.0 - 8e-14, 1.0 - 5e-14)
+        ok = (Point2C(0.1, 0.4), Point2C(0.2, 0.3))
+        outside = (Point2C(0.6, 0.5), Point2C(0.2, 0.3))
+        array, loop = self.bell_faults([ok, (corner, corner), outside])
+        assert array == loop
+        assert array[0] is SingularEvaluation
+
+    def test_outside_pair_before_a_singular_pair_is_a_domain_error(self):
+        corner = Point2C(1.0 - 8e-14, 1.0 - 5e-14)
+        outside = (Point2C(0.6, 0.5), Point2C(0.2, 0.3))
+        array, loop = self.bell_faults([outside, (corner, corner)])
+        assert array == loop
+        assert array == (DomainError, "z ((0.6+0j), (0.5+0j)) is not inside classical")
+
+    def test_membership_fault_wins_within_one_pair(self):
+        # At the corner the source kernel is near-singular, and the shear's image of
+        # the corner lies outside the classical triangle (a wrong target).
+        z = Point2C(*CORNER)
+        src, dst = DomainSpec.classical(), DomainSpec.classical()
+        array = first_raised([lambda: invariance_residuals(shear(), src, dst, *columns([(z, z)]))])
+        loop = first_raised([lambda: biholo_residual(shear(), src, dst, z, z)])
+        assert array == loop
+        assert array[0] is DomainError and array[1].startswith("F(z) (")
+        # The same pair with the right target is only near-singular.
+        with pytest.raises(SingularEvaluation):
+            invariance_residuals(shear(), src, DomainSpec.punctured_bidisc(), *columns([(z, z)]))
+
+    def test_a_shear_needs_nonzero_z2(self):
+        # The full bidisc holds z2 = 0, where no shear is defined.
+        bidisc = DomainSpec.bidisc()
+        pairs = [(Point2C(0.1, 0.5), Point2C(0.2, 0.3)), (Point2C(0.1, 0.5), Point2C(0.2, 0.0))]
+        array = first_raised([lambda: invariance_residuals(shear_inv(), bidisc, bidisc, *columns(pairs))])
+        assert array == (DomainError, "map needs z2 != 0")
+        assert array == first_raised([lambda p=p: biholo_residual(shear_inv(), bidisc, bidisc, *p)
+                                      for p in pairs])
