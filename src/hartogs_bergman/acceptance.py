@@ -103,6 +103,19 @@ def _pairs(spec: DomainSpec, n_pairs: int, seed: int, keep=None) -> np.ndarray:
     raise ValueError(f"pair filter on {spec} accepted {got} of {n_pairs} pairs")
 
 
+def _small_t_share(spec: DomainSpec, max_mod: float) -> float:
+    """P(|t| <= m) for a uniform pair of the triangle: m^c (1 - c ln m) for m < 1.
+
+    |z2|^c is Uniform(0, 1) for c = 2 + 2/gamma, and the product of two
+    uniforms is <= y with probability y (1 - ln y).  The |s|, |t| filter of
+    series_deviations keeps no larger a share.
+    """
+    if max_mod >= 1.0:
+        return 1.0
+    c = 2.0 + 2.0 / float(spec.gamma)
+    return max_mod**c * (1.0 - c * math.log(max_mod))
+
+
 def _abs(x: np.ndarray) -> np.ndarray:
     # |x| as Python's abs rounds it; numpy's complex abs can differ in the last bit.
     return np.hypot(x.real, x.imag)
@@ -116,6 +129,13 @@ def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float 
         raise DomainError(f"series comparison requires a Hartogs triangle, got {spec}")
     if not max_mod > 0.0:
         raise ValueError(f"max_mod must be > 0, got {max_mod}")
+    share = _small_t_share(spec, max_mod)
+    expected = _PAIR_ROUNDS * _PAIR_BATCH * share
+    if expected < n_pairs:
+        raise ValueError(
+            f"pair filter on {spec} keeps at most {share:.3g} of pairs (|t| <= {max_mod:g}): "
+            f"{_PAIR_ROUNDS} rounds of {_PAIR_BATCH} pairs expect {expected:.3g}, "
+            f"fewer than {n_pairs}")
 
     def small(s, t):
         return (_abs(s) <= max_mod) & (_abs(t) <= max_mod)

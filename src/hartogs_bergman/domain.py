@@ -31,6 +31,7 @@ __all__ = [
     "BoundaryPath",
     "contains",
     "inside_mask",
+    "ipow",
     "require_inside",
     "boundary_distance",
     "sample_chunks",
@@ -152,11 +153,15 @@ class Point2C:
             raise ValueError(f"point components must be finite, got ({z1}, {z2})")
 
 
-def _ipow(x, k: int):
-    # x**k (k >= 1) by binary powering: plain IEEE products round the same on
-    # Python floats and numpy arrays, where ``**`` does not (libm pow vs
-    # numpy's vectorized pow differ in the last bit).  For k <= 3 these are
-    # the products of plain repeated multiplication.
+def ipow(x, k: int):
+    """x**k (k >= 1) by binary powering, for real or complex scalars and arrays.
+
+    Plain IEEE products round the same on Python numbers and numpy arrays,
+    where ``**`` does not (libm pow vs numpy's vectorized pow differ in the
+    last bit), and on complex arrays they are several times faster than
+    numpy's per-element power.  For k <= 3 these are the products of plain
+    repeated multiplication.
+    """
     y = x if k & 1 else None
     while k := k >> 1:
         x = x * x
@@ -175,11 +180,11 @@ def _inside_moduli(spec: DomainSpec, r1, r2):
     """
     top = 1.0 - r2 > BOUNDARY_MARGIN
     if spec.kind is DomainKind.FAT:
-        return (r2 - _ipow(r1, spec.k) > BOUNDARY_MARGIN) & top
+        return (r2 - ipow(r1, spec.k) > BOUNDARY_MARGIN) & top
     if spec.kind is DomainKind.THIN:
         # r2 - r1^(1/k) > margin, raised to the k-th power.
         d = r2 - BOUNDARY_MARGIN
-        return (d > 0.0) & (r1 < _ipow(d, spec.k)) & top
+        return (d > 0.0) & (r1 < ipow(d, spec.k)) & top
     if spec.kind is DomainKind.CLASSICAL:
         return (r2 - r1 > BOUNDARY_MARGIN) & top
     inside = (1.0 - r1 > BOUNDARY_MARGIN) & top
@@ -281,51 +286,90 @@ def boundary_distance(spec: DomainSpec, p: Point2C) -> float:
     return min(1.0 - r2, math.sqrt(fmin))
 
 
-def _disc_uniforms(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # n proposals on the unit disc, uniform w.r.t. area: radii sqrt(U) from
-    # n uniforms, then n angle uniforms (scaled to 2 pi by _polar_point).
-    return np.sqrt(rng.random(n)), rng.random(n)
-
-
-def _polar_point(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return r * np.exp(1j * (u * (2.0 * np.pi)))
-
-
 def _disc_samples(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _polar_point(*_disc_uniforms(rng, n))
+    # n points of the unit disc, uniform w.r.t. area: radii sqrt(U) from n
+    # uniforms, then n angles 2 pi U.
+    r = np.sqrt(rng.random(n))
+    return r * np.exp(1j * (rng.random(n) * (2.0 * np.pi)))
 
 
-def _fill_uniform(
-    rng: np.random.Generator, spec: DomainSpec, n: int, max_chunk: int = 4_000_000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n in-domain points by rejection from the enclosing bidisc.
+# Points per sampler block: a block's moduli and phase proposals stay in the
+# L2 cache.  A constant, so the stream does not depend on the memory at hand.
+_SAMPLE_BLOCK = 16_384
+_EMPTY_BLOCKS = 10_000  # blocks that keep no point before the sampler gives up
 
-    Each round draws m polar proposals per coordinate and accepts or
-    rejects them on the moduli alone (the domains are Reinhardt); only the
-    first kept draws still needed become complex points.  The uniforms are
-    consumed exactly as ``_disc_samples`` consumes them, so the stream
-    for a fixed (spec, n, seed) is a contract, pinned by a golden-hash test.
-    The verdict uses the drawn radius sqrt(U), not |z| recomputed from the
-    complex point; the two differ by at most a couple of ulps, so they can
-    disagree only on a draw within ulps of the margin band.
+
+def _moduli(spec: DomainSpec, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moduli (r1, r2) of uniform points of the domain, by inversion from two uniforms each.
+
+    Uniform on H(gamma) means r2^c and (r1 / r2^(1/gamma))^2 are independent
+    Uniform(0, 1), with c = 2 + 2/gamma; on the bidiscs r1^2 and r2^2 are.
+    """
+    if spec.kind is DomainKind.FAT:
+        a = u ** (1.0 / (2 * spec.k + 2))
+        return a * np.sqrt(v), ipow(a, spec.k)
+    if spec.kind is DomainKind.THIN:
+        r2 = u ** (1.0 / (2 * spec.k + 2))
+        return ipow(r2, spec.k) * np.sqrt(v), r2
+    if spec.kind is DomainKind.CLASSICAL:
+        r2 = np.sqrt(np.sqrt(u))
+        return r2 * np.sqrt(v), r2
+    return np.sqrt(u), np.sqrt(v)
+
+
+def _fill_polar(rng: np.random.Generator, out: np.ndarray, r: np.ndarray) -> None:
+    """out = r e^(i theta), theta uniform, without trigonometry (von Neumann, 1951).
+
+    A point (x, y) of the square [-1, 1]^2 with 0 < q = x^2 + y^2 <= 1 has a
+    uniform argument, so (x + iy) / sqrt(q) is uniform on the circle.  Each
+    draw proposes a third more points than it needs, and a short draw (rare)
+    is topped up by another.
+    """
+    done = 0
+    while done < len(r):
+        need = len(r) - done
+        x, y = rng.random((2, need + need // 3 + 64)) * 2.0 - 1.0
+        q = x * x + y * y
+        idx = np.flatnonzero((q > 0.0) & (q <= 1.0))[:need]
+        part = slice(done, done + idx.size)
+        scale = r[part] / np.sqrt(q[idx])
+        out.real[part] = x[idx] * scale
+        out.imag[part] = y[idx] * scale
+        done += idx.size
+
+
+def _fill_uniform(rng: np.random.Generator, spec: DomainSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n uniform in-domain points, exactly, in blocks of at most _SAMPLE_BLOCK.
+
+    Each block draws its moduli by inversion (``_moduli``) from one (2, m)
+    uniform draw and keeps those that pass the membership predicate: only
+    draws in the margin band fail, and later blocks replace them.  The phases
+    of the kept z1, then of the kept z2, follow (``_fill_polar``).  The
+    generator is consumed in exactly this order, so the stream for a fixed
+    (spec, n, seed) is a contract, pinned by a golden-hash test.  The verdict
+    uses the drawn moduli, not |z| recomputed from the complex point; the two
+    differ by at most a couple of ulps, so they can disagree only on a draw
+    within ulps of the margin band.
     """
     z1 = np.empty(n, dtype=np.complex128)
     z2 = np.empty(n, dtype=np.complex128)
-    got = 0
-    rounds = 0
+    got = empty = 0
     while got < n:
-        if rounds > 10_000:
-            # A ValueError: the domain is too thin to sample, as with the pair filter.
-            raise ValueError(f"rejection sampling on {spec} accepted {got} of {n} points")
-        m = min(max(4096, 2 * (n - got)), max_chunk)
-        r1, u1 = _disc_uniforms(rng, m)
-        r2, u2 = _disc_uniforms(rng, m)
-        idx = np.flatnonzero(_inside_moduli(spec, r1, r2))[: n - got]
-        take = idx.size
-        z1[got : got + take] = _polar_point(r1[idx], u1[idx])
-        z2[got : got + take] = _polar_point(r2[idx], u2[idx])
-        got += take
-        rounds += 1
+        u, v = rng.random((2, min(n - got, _SAMPLE_BLOCK)))
+        r1, r2 = _moduli(spec, u, v)
+        keep = _inside_moduli(spec, r1, r2)
+        if not keep.all():
+            r1, r2 = r1[keep], r2[keep]
+        if not r1.size:
+            empty += 1
+            if empty > _EMPTY_BLOCKS:
+                # A ValueError: the domain is too thin to sample, as with the pair filter.
+                raise ValueError(f"rejection sampling on {spec} accepted {got} of {n} points")
+            continue
+        part = slice(got, got + r1.size)
+        _fill_polar(rng, z1[part], r1)
+        _fill_polar(rng, z2[part], r2)
+        got += r1.size
     return z1, z2
 
 
@@ -354,9 +398,8 @@ def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
 def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:
     """n i.i.d. points, uniform w.r.t. Lebesgue measure on the domain.
 
-    Rejection sampling from the enclosing bidisc, accepted or rejected on
-    the drawn moduli; the expected acceptance ratio is vol(domain) / pi^2.
-    The points for a fixed (spec, n, seed) are a contract, pinned by a
+    Exact: moduli by inversion and phases without trigonometry
+    (``_fill_uniform``).  The points for a fixed (spec, n, seed) are a contract, pinned by a
     golden-hash test: Monte Carlo verdicts and report bytes depend on them.
     """
     z1, z2 = sample_uniform_arrays(spec, n, seed)
@@ -364,7 +407,10 @@ def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:
 
 
 def sampling_acceptance(spec: DomainSpec, n_proposals: int, seed: int) -> float:
-    """Fraction of bidisc proposals landing inside; estimates vol/pi^2."""
+    """Fraction of uniform bidisc proposals landing inside; estimates vol/pi^2.
+
+    A rejection draw, independent of the sampler, so it checks the volume.
+    """
     if n_proposals < 1:
         raise ValueError(f"proposal count must be >= 1, got {n_proposals}")
     rng = np.random.default_rng(seed)

@@ -37,7 +37,7 @@ from typing import Literal
 
 import numpy as np
 
-from .domain import DomainKind, DomainSpec, Point2C, require_inside
+from .domain import DomainKind, DomainSpec, Point2C, ipow, require_inside
 from .polynomials import lin_coeff, quad_coeff
 
 __all__ = [
@@ -112,7 +112,10 @@ class KernelValue:
 
 
 def _fat_numerator(k: int, s, t, sk):
-    # sk is s**k, which the fat denominator needs too.
+    # sk is s**k, which the fat denominator needs too.  quad_coeff(1) is zero,
+    # so the classical numerator is lin_coeff(1)(s) t.
+    if k == 1:
+        return lin_coeff(1)(s) * t
     c2v = quad_coeff(k)(s)
     return (c2v * t + lin_coeff(k)(s)) * t + sk * c2v
 
@@ -126,19 +129,21 @@ def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
     """(numerator, denominator) of the domain's kernel; scalar or array args.
 
     The only place the closed forms are written; ``kernel`` evaluates them
-    here too.
+    here too.  s^k and t^k are taken by binary powering (``ipow``): on
+    complex Python scalars these are the products of Python's ``**`` for
+    k <= 100, and on arrays they are faster than numpy's power.
     """
     if thin_variant not in ("1-t", "1-s"):
         raise ValueError(f"unknown thin variant {thin_variant!r}")
     if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
         k = spec.k if spec.kind is DomainKind.FAT else 1
-        sk = s**k
+        sk = ipow(s, k)
         num = _fat_numerator(k, s, t, sk)
         den = (k * PI_SQ) * (1.0 - t) ** 2 * (t - sk) ** 2
         return num, den
     if spec.kind is DomainKind.THIN:
         k = spec.k
-        tk = t**k
+        tk = ipow(t, k)
         mid = (1.0 - t) if thin_variant == "1-t" else (1.0 - s)
         return tk, PI_SQ * mid**2 * (tk - s) ** 2
     # Bidisc and punctured bidisc share one kernel.

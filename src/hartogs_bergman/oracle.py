@@ -351,9 +351,11 @@ def _drawn_ahead(helper, chunks):
         yield ready
 
 
-# Elements per kernel evaluation in reproducing_residuals_batch: 256 KiB of
-# complex128 per temporary, so a sub-block's temporaries stay in L2 cache.
-_EVAL_BLOCK = 16_384
+# Samples per evaluation block in reproducing_residuals_batch: with three
+# points a block's (points, samples) temporaries are 192 KiB of complex128
+# and stay in the L2 cache.  A constant, so that no estimate depends on the
+# number of points.
+_EVAL_BLOCK = 4_096
 
 
 @dataclass(frozen=True)
@@ -403,16 +405,19 @@ def reproducing_residuals_batch(
     are correlated but individually unbiased.
 
     A helper thread draws chunk k + 1 (``_drawn_ahead``) and then helps
-    evaluate chunk k: the caller and the helper claim the points z of the
-    chunk one at a time from one shared iterator, and the caller waits for
-    the helper's points before it moves to the next chunk.  A point is
-    evaluated entirely by the thread that claimed it.  The kernel is
-    evaluated in cache-sized sub-blocks, written into that thread's
-    chunk-length array, and each sum runs over the whole chunk, so neither
-    the sub-block size nor the thread changes a bit of any estimate.  The
-    last (or only) chunk has no draw ahead of it, so the helper joins at
-    once.  When sampling is the slower half, the caller has claimed every
-    point before the helper is free, and the helper only draws.
+    evaluate chunk k.  The chunk's function values are one (len(fs), m)
+    array F.  The caller and the helper claim the chunk's sample blocks of
+    _EVAL_BLOCK columns one at a time from one shared iterator, and the
+    caller waits for the helper's blocks before it moves to the next chunk.
+    A block is evaluated entirely by the thread that claimed it: one kernel
+    evaluation on (len(zs), width) arrays, one near-singular mask, and for
+    each point z_j the sums F[:, block] @ K[j] into that block's own slot.
+    The slots are added in block order after the join, so neither the
+    thread nor the timing changes a bit of any estimate, and no estimate
+    depends on the other points.  The last (or only) chunk has no draw
+    ahead of it, so the helper joins at once.  When sampling is the slower
+    half, the caller has claimed every block before the helper is free, and
+    the helper only draws.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -421,59 +426,54 @@ def reproducing_residuals_batch(
     for f in fs:
         _require_admissible(spec, f)
     vol = volume(spec)
-    acc = [[0.0j for _ in zs] for _ in fs]
-    excluded = [[0 for _ in zs] for _ in fs]
-    # One (kvals, prod) pair per thread, reused for every chunk.  Each
-    # accumulator cell (i, j) is written only by the thread that claimed
-    # z_j, and the caller reads the helper's cells after share.result(),
-    # so the accumulators need no lock.
-    length = min(chunk, n)
-    mine = (np.empty(length, dtype=np.complex128), np.empty(length, dtype=np.complex128))
-    theirs = (np.empty(length, dtype=np.complex128), np.empty(length, dtype=np.complex128))
+    # Columns, so that each (point, sample) product broadcasts as z * conj(w).
+    z1s = np.array([[z.z1] for z in zs], dtype=np.complex128)
+    z2s = np.array([[z.z2] for z in zs], dtype=np.complex128)
+    acc = np.zeros((len(zs), len(fs)), dtype=np.complex128)
+    excluded = np.zeros(len(zs), dtype=np.int64)
 
-    def evaluate(claims, w1, w2, fvals, buffers):
-        m = len(w1)
-        kvals, prod = buffers[0][:m], buffers[1][:m]
-        for j in claims:
-            z = zs[j]
-            bad = 0
-            for lo in range(0, m, _EVAL_BLOCK):
-                block = slice(lo, lo + _EVAL_BLOCK)
-                # Bound names, not bare temporaries: numpy would reuse a
-                # temporary for the product with the operands swapped,
-                # which changes the rounding.
-                w1c = np.conj(w1[block])
-                w2c = np.conj(w2[block])
-                s = z.z1 * w1c
-                t = z.z2 * w2c
-                num, den = kernel_num_den(spec, s, t, thin_variant)
-                flagged = near_singular(den)
-                block_bad = int(np.count_nonzero(flagged))
-                if block_bad:
-                    num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
-                np.divide(num, den, out=kvals[block])
-                bad += block_bad
-            for i in range(len(fs)):
-                np.multiply(kvals, fvals[i], out=prod)
-                acc[i][j] += complex(np.sum(prod))
-                excluded[i][j] += bad
+    def evaluate(claims, w1c, w2c, fvals, partial, bad):
+        # Each block b writes only partial[:, :, b] and bad[:, b], so the two
+        # threads share no cell and need no lock.
+        for b in claims:
+            block = slice(b * _EVAL_BLOCK, (b + 1) * _EVAL_BLOCK)
+            num, den = kernel_num_den(spec, z1s * w1c[block], z2s * w2c[block], thin_variant)
+            flagged = near_singular(den)
+            bad[:, b] = np.count_nonzero(flagged, axis=1)
+            if bad[:, b].any():
+                num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
+            kvals = num / den
+            fblock = fvals[:, block]
+            for j in range(len(zs)):
+                partial[j, :, b] = fblock @ kvals[j]
 
     # Imported on first use so that importing the package stays as cheap as before.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
         for w1, w2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, chunk)):
-            fvals = [f(w1, w2) for f in fs]
-            claims = iter(range(len(zs)))
+            fvals = np.empty((len(fs), len(w1)), dtype=np.complex128)
+            for i, f in enumerate(fs):
+                fvals[i] = f(w1, w2)
+            # The chunk is this call's own: conjugate it in place.
+            np.conjugate(w1, out=w1)
+            np.conjugate(w2, out=w2)
+            blocks = -(-len(w1) // _EVAL_BLOCK)
+            partial = np.empty((len(zs), len(fs), blocks), dtype=np.complex128)
+            bad = np.empty((len(zs), blocks), dtype=np.int64)
+            claims = iter(range(blocks))
             # Queued behind the draw of the next chunk, if there is one.
-            share = helper.submit(evaluate, claims, w1, w2, fvals, theirs)
+            share = helper.submit(evaluate, claims, w1, w2, fvals, partial, bad)
             try:
-                evaluate(claims, w1, w2, fvals, mine)
+                evaluate(claims, w1, w2, fvals, partial, bad)
             finally:
-                # After an error, leave the helper no further point to claim.
+                # After an error, leave the helper no further block to claim.
                 for _ in claims:
                     pass
             share.result()
+            for b in range(blocks):
+                acc += partial[:, :, b]
+            excluded += bad.sum(axis=1)
             # Freed before the next chunk's values are made, not after:
             # the two sets are never resident together.
             del fvals
@@ -481,10 +481,10 @@ def reproducing_residuals_batch(
     for i, f in enumerate(fs):
         row = []
         for j, z in enumerate(zs):
-            kept = n - excluded[i][j]
-            estimate = vol * acc[i][j] / kept
+            bad = int(excluded[j])
+            estimate = vol * complex(acc[j, i]) / (n - bad)
             expected = f.at(z)
             residual = abs(estimate - expected) / max(1.0, abs(expected))
-            row.append(ReproducingReport(residual, estimate, expected, excluded[i][j], n, seed))
+            row.append(ReproducingReport(residual, estimate, expected, bad, n, seed))
         out.append(row)
     return out

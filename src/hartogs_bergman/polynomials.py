@@ -99,9 +99,13 @@ class IntPoly:
         return IntPoly((0,) * m + self.coeffs)
 
     def __call__(self, x):
-        """Horner evaluation: exact for int arguments, else over ``float_coeffs``."""
-        acc, coeffs = (0, self.coeffs) if isinstance(x, int) else (0.0, self._doubles)
-        for c in reversed(coeffs):
+        """Horner evaluation from the leading coefficient: exact for int arguments, else over
+        ``float_coeffs``.  A constant polynomial returns its coefficient, not an array."""
+        coeffs = self.coeffs if isinstance(x, int) else self._doubles
+        if not coeffs:
+            return 0 if isinstance(x, int) else 0.0
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
 
