@@ -184,27 +184,27 @@ class TestValueStructure:
 # Every scalar entry point, pinned bit for bit: the sha256 of the reprs of
 # (value, numerator, denominator, near_singular) over seeded pairs of each
 # domain, in the order _scalar_results lists them.  The pairs come from the
-# rejection sampler, whose streams GOLDEN_STREAMS in test_domain.py pins;
+# sampler, whose streams GOLDEN_STREAMS in test_domain.py pins;
 # the hashes also depend on the platform libm (recorded with numpy 2.4 on
 # x86-64 glibc, Python 3.11).  The two bidiscs draw the same pairs and share
 # one kernel, hence one hash.
 _GOLDEN_PAIRS = 300
 _CORNER = Point2C(1.0 - 2.6e-14, 1.0 - 1.2e-14)
 GOLDEN_SCALAR = {
-    "fat:1": "6eba82e01be7f7033d0e7aae5c802adcdfcbba5df15c6f406eb77c98e45dbc84",
-    "fat:2": "5300c4387ef4b3cc77841490015ca17e6949c0fd87463d43758a949ba676487a",
-    "fat:3": "237bbe1f46440959028bb8e38dbff59ed10f9ccb2404c2fb56bbd250b21ec846",
-    "fat:4": "9a57ca9c2236e9d21cf4b6a4226c09f009c43a05c7f975e8f49378680bf0e4e8",
-    "fat:5": "beecd19c0cdf7bb17b8ff920778c2fddcbde9e025682fd7a3f9923216d639f6e",
-    "fat:6": "631433f8b0d6b4419e7984167409a7df7f954b1632cd60c58328a9894d7bd189",
-    "fat:7": "532489a67bc5f368f97d190cc9e87d00fb71737c31bf39411822ac14aafb4c5f",
-    "fat:8": "583b2d4ac2c70b48bc9d1d65e951607ce7464eb07c2c1ad43126bc5e9362c997",
-    "thin:2": "9e7a71a5cbef9da66f09b25e7aab5acb17592df2a27653102caf576d76145242",
-    "thin:3": "18fed321d3f54ec6c26d4fab7755c3989ea76cfa368182f297aa7771183c9722",
-    "thin:4": "364695a20e402f61d5763172afeb4178aa62d10f461ebada26501c797775b4c9",
-    "thin:5": "f66a216015fffa0554463bf0aa29286864288b91775f1b3b860424da8b11628f",
-    "bidisc": "7e53753641509acaca7aca577ca40f2f8e0ac10cc159b844d5c793de998f73d4",
-    "punctured-bidisc": "7e53753641509acaca7aca577ca40f2f8e0ac10cc159b844d5c793de998f73d4",
+    "fat:1": "086d9e1f0e648870ae04de0d122001e6067771dd987c2f6030552dcc72d0e7cf",
+    "fat:2": "bc5f74a40844e8bf0891f89ff60a84db2e922e5e51d493da77ca48dddbb03f9d",
+    "fat:3": "a21cd9d454e2bb7eb289f4dd425cb23d943a842f9c51b159f75f874ae06c7839",
+    "fat:4": "014e8f55fa8a84194bcf0b5d7b662a762ad6a38db238d84f532c84b3ca502c45",
+    "fat:5": "ad71c08afe1cc786a68f89df8a9799c5ae38de38755c4bcf56c91360f52ff85f",
+    "fat:6": "6da758266b3b263e7f6fbdbdc4c36ea5d22433635ce6b35a739ed3a049a8c54e",
+    "fat:7": "bb7af5c41e33d4a1913c51da7d6beb93571e37816a459e48ec700f819069b2e9",
+    "fat:8": "61bd867f675f0bf234c18d3911fe7a67a3d1978d30cc80ee1003d635e008bff9",
+    "thin:2": "66044f2256bfb6be5e1c98b833f7b508cc02b8212af7bb9c22b16ed86281edc2",
+    "thin:3": "1b3b60f6fc6b71700190bb519d04ed4ccba4c6ef4f93f6136d26148625378147",
+    "thin:4": "f7a4d1b0354abb75af4cc48ba2c1f177dbc4922f9a9c53c6e11a26463303d8dd",
+    "thin:5": "27fb7dafec4dc53de849b3590fc190d3c5f0b3bc677447855ff865494e0043cc",
+    "bidisc": "5b65e1e1a658cd6ea91af28d9e2bc33723f3a8f409e2c5ea125cf6227a4ac75f",
+    "punctured-bidisc": "5b65e1e1a658cd6ea91af28d9e2bc33723f3a8f409e2c5ea125cf6227a4ac75f",
     "corner": "05e3c5f22a329c5fcc4bc7f40d1fb25c3d23e90a6b2163a771347df782f8037f",
 }
 

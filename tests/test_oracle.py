@@ -279,7 +279,7 @@ class TestSeriesRowSums:
 
 # sha256 of float.hex of the tail bound at rows 0, 7, ..., 196 and b_max None, 0, 9, 40 over the
 # row-sum pair families, recorded from the one-piece bound before its per-call part was split off.
-TAIL_BOUND_DIGEST = "8683f0a4252683dbc5dcfed7a64f3c92fb41b825924ed3a1fe52e8ba5a15d38c"
+TAIL_BOUND_DIGEST = "4cf122b6e9e1ed8e17642479372288c2f23ddf58632525f1dfae913dd39eed40"
 
 
 class TestTailBoundSplit:
@@ -367,25 +367,25 @@ class TestMonteCarlo:
 # the platform libm (recorded with numpy 2.4 on x86-64 glibc).
 GOLDEN_INNER_PRODUCTS = {
     ("fat:2", "one", "one", 20_000): "((6.579736267392905+0j), 0.0)",
-    ("fat:2", "z1", "z2", 20_000): "((0.009416655721797321+0.015678500809239153j), 0.023208688274428655)",
-    ("fat:2", "z1", "z2", 1_500_000): "((0.0007737879589633711-0.00021507236813325016j), 0.00268566616412797)",
-    ("fat:2", "z2inv", "z2inv", 20_000): "((19.307392671754847+4.671593294025172e-18j), 0.4369416430299977)",
-    ("fat:2", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.01856086599123357-0.0008203542628246511j), 0.016364692974459173)",
+    ("fat:2", "z1", "z2", 20_000): "((0.01524811757417326+0.028887027786924896j), 0.02319009100598043)",
+    ("fat:2", "z1", "z2", 1_500_000): "((0.00038941514351114714+0.0021660507591764215j), 0.002685400422816992)",
+    ("fat:2", "z2inv", "z2inv", 20_000): "((19.26340322844888+4.3963569359061055e-18j), 0.6358481905066826)",
+    ("fat:2", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.012384374271308042-0.008182871171121368j), 0.01638769940243421)",
     ("thin:3", "one", "one", 20_000): "((2.4674011002723395+0j), 0.0)",
-    ("thin:3", "z1", "z2", 20_000): "((-0.00604033492527696-0.0008503564039038045j), 0.00872900300741546)",
-    ("thin:3", "z1", "z2", 1_500_000): "((0.0011977270155443356-0.0013730961085247672j), 0.0010077342604469547)",
-    ("thin:3", "z2inv", "z2inv", 20_000): "((3.2839604427618254-1.2847451297453009e-20j), 0.008349494312407264)",
-    ("thin:3", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.005908982096869434-0.0005034312863235499j), 0.004835606749009123)",
+    ("thin:3", "z1", "z2", 20_000): "((0.0057180440903149745+0.010832635420096836j), 0.008696284127242661)",
+    ("thin:3", "z1", "z2", 1_500_000): "((0.00014603067881667963+0.0008122690346911583j), 0.001007025158556372)",
+    ("thin:3", "z2inv", "z2inv", 20_000): "((3.2874470202989023-7.227330181052327e-19j), 0.008017860137985002)",
+    ("thin:3", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.003524002026004078-0.003817980638744372j), 0.004831611434367236)",
     ("classical", "one", "one", 20_000): "((4.934802200544679+0j), 0.0)",
-    ("classical", "z1", "z2", 20_000): "((0.005848962304232492+0.006616824132762558j), 0.017381508937666018)",
-    ("classical", "z1", "z2", 1_500_000): "((0.0004818813726112889+0.0004784938695117086j), 0.0020142297979821593)",
-    ("classical", "z2inv", "z2inv", 20_000): "((9.95569077252577-3.9281657413713687e-19j), 0.10457896346059897)",
-    ("classical", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.014492637628099688+0.005270122583553231j), 0.010934891971471173)",
+    ("classical", "z1", "z2", 20_000): "((0.011436088180629946+0.021665270840193682j), 0.017392568254485326)",
+    ("classical", "z1", "z2", 1_500_000): "((0.00029206135763335916+0.0016245380693823165j), 0.002014050317112744)",
+    ("classical", "z2inv", "z2inv", 20_000): "((9.802240530559168-1.8265847668947383e-18j), 0.10289215334615659)",
+    ("classical", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.008228041134924065-0.007125401650517648j), 0.010999846979080264)",
 }
 
 # sha256 of the stdout of
 # `inner-product --spec classical --f z2inv --g z2inv --n 1000000 --seed 5`.
-GOLDEN_INNER_PRODUCT_REPORT = "df9f5501882ea9101dc1fd61eff7008a4a346b65514a55d58759fd4eb3ae1e52"
+GOLDEN_INNER_PRODUCT_REPORT = "e10d00a6313a13d11efdbdf5687f8a23add0619d4e85258eab53122b84da879d"
 
 
 class TestInnerProductsBatch:
@@ -480,38 +480,38 @@ class TestReproducing:
 
 # repr((estimate, residual, excluded)) of every report of
 # reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
-# seed=36), row by row, recorded while each chunk was still evaluated in one
-# piece.  n spans two full default chunks and a partial one, and a chunk
-# spans many evaluation sub-blocks.  The third case raises the near-singular
-# threshold to 0.25, so that samples are excluded inside sub-blocks.  Like
+# seed=36), row by row.  n spans two full default chunks and a partial one,
+# and a chunk spans many evaluation blocks.  The third case raises the
+# near-singular threshold to 0.25, so that samples are excluded inside
+# blocks.  Like
 # GOLDEN_STREAMS these depend on numpy's PCG64 stream and the platform libm
 # (recorded with numpy 2.4 on x86-64 glibc).
 _GOLDEN_FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
 _GOLDEN_ZS = (Point2C(0.05, 0.6), Point2C(0.1 + 0.05j, 0.7j))
 GOLDEN_REPRODUCING = {
     ("fat:2", None): (
-        "((0.9991387613064272-0.0007566981505443131j), 0.0011464397840027017, 0)",
-        "((1.0005729195333306+0.0006497214728360485j), 0.0008662417583654142, 0)",
-        "((0.05065676705716367+7.198106207396581e-05j), 0.0006606998113157875, 0)",
-        "((0.0990822194309105+0.04987815510797409j), 0.0009258333277167451, 0)",
-        "((0.5992909916553283+0.0001877919327204589j), 0.0007334566400333266, 0)",
-        "((-7.13429884083716e-05+0.700345298681832j), 0.00035259183437795646, 0)",
+        "((0.9993658982672855+0.0005658822750252613j), 0.0008498869081350145, 0)",
+        "((0.9990508827071046-0.0004668059994034561j), 0.0010577010337293343, 0)",
+        "((0.050327190602908564+0.0005837521946421383j), 0.0006691937801423299, 0)",
+        "((0.09861266698377938+0.04949033083977001j), 0.0014779903757417934, 0)",
+        "((0.5998296082090967-0.00046628488572887736j), 0.0004964422998359619, 0)",
+        "((-9.312276411170178e-05+0.6987749858296193j), 0.001228548561038295, 0)",
     ),
     ("thin:3", None): (
-        "((0.9998355559296396-0.00077521400786782j), 0.0007924636334060971, 0)",
-        "((1.0019829176190205-0.0003966127041762129j), 0.0020221928495907098, 0)",
-        "((0.05084502707218063-0.00010366369153402942j), 0.0008513617995074868, 0)",
-        "((0.10157884623585191+0.050060246462501054j), 0.0015799952761662332, 0)",
-        "((0.6008752864059924-0.0003675329210482884j), 0.0009493190931238267, 0)",
-        "((0.0006805743379622174+0.7021503142590534j), 0.002255445153884532, 0)",
+        "((0.9990129129829481-0.0012418296925923145j), 0.0015863422596136864, 0)",
+        "((0.9977086047454038-0.0001441932924542369j), 0.0022959276814339797, 0)",
+        "((0.04924750628864647+2.7357195031269034e-05j), 0.0007529908377574, 0)",
+        "((0.09895345133192922+0.049262247965940476j), 0.001280446085705958, 0)",
+        "((0.5998032783747691-0.0005832484400999322j), 0.0006155307796629525, 0)",
+        "((0.0008844780609589359+0.6971707910141035j), 0.002964241037128203, 0)",
     ),
     ("fat:2", 0.25): (
-        "((0.995224607224216-0.0008317639369168709j), 0.004847288665817758, 17364)",
-        "((0.9982104101584605+0.0007419350954526407j), 0.0019372917918594084, 10915)",
-        "((0.05082668169640228+0.0001067118712490366j), 0.0008335406712524714, 17364)",
-        "((0.09937879077034437+0.050021980486203634j), 0.0006215979800346047, 10915)",
-        "((0.6029364319676414+0.0001617442615026153j), 0.0029408831848128907, 17364)",
-        "((-7.011055573542105e-05+0.7031325840228478j), 0.0031333684989524233, 10915)",
+        "((0.9956868384963495+0.0003278500981621821j), 0.004325603754788144, 17374)",
+        "((0.9964817050591861-0.0005133800047656062j), 0.00355555316650586, 11058)",
+        "((0.0505292767793994+0.0005767102964638004j), 0.0007827698737552178, 17374)",
+        "((0.09886858676052429+0.049653644541773914j), 0.0011832404750953777, 11058)",
+        "((0.6034975886857653-0.0004547598026992692j), 0.0035270289328193385, 17374)",
+        "((-8.064855597213686e-05+0.7015938526627244j), 0.0015958917569980577, 11058)",
     ),
 }
 
