@@ -77,6 +77,28 @@ def test_pairs_are_rows_i_and_512_plus_i_of_each_chunk(spec):
     assert np.count_nonzero(near(s, t)) >= n
 
 
+@pytest.mark.parametrize("spec", [DomainSpec.classical(), DomainSpec.fat(2), DomainSpec.thin(2)], ids=str)
+def test_small_t_share_is_the_observed_share(spec):
+    # 40 chunks of 512 pairs: the observed share of |t| <= 0.4 lies within
+    # 5 standard errors of the closed form.
+    pairs = acceptance._pairs(spec, 40 * 512, seed=17)
+    _, t = acceptance.pair_invariants(*pairs.T)
+    observed = np.mean(np.abs(t) <= 0.4)
+    p = acceptance._small_t_share(spec, 0.4)
+    assert abs(observed - p) <= 5.0 * np.sqrt(p * (1.0 - p) / len(pairs))
+    assert acceptance._small_t_share(spec, 1.0) == 1.0
+
+
+def test_pair_round_cap_still_ends_a_filter_the_bound_admits(monkeypatch):
+    monkeypatch.setattr(acceptance, "_PAIR_ROUNDS", 3)
+
+    def none(s, t):
+        return np.zeros(len(s), dtype=bool)
+
+    with pytest.raises(ValueError, match=r"^pair filter on fat:2 accepted 0 of 1 pairs$"):
+        acceptance._pairs(DomainSpec.fat(2), 1, seed=1, keep=none)
+
+
 def _stub(number, calls):
     def criterion():
         calls.append(number)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.stats import kstest
 
 from hartogs_bergman import (
     DomainError,
@@ -302,6 +303,74 @@ class TestSampling:
         assert volume(spec) == pytest.approx(vol, rel=1e-9)
         acc = sampling_acceptance(spec, 500_000, seed=13)
         assert acc == pytest.approx(vol / math.pi**2, abs=0.01)
+
+
+# Every spec the battery samples, plus a steep fat and thin triangle and both bidiscs.
+SAMPLED_SPECS = (
+    [DomainSpec.classical()]
+    + [DomainSpec.fat(k) for k in range(2, 9)]
+    + [DomainSpec.thin(k) for k in (2, 3, 4, 5, 20)]
+    + [DomainSpec.bidisc(), DomainSpec.punctured_bidisc()]
+)
+
+
+class TestExactSampler:
+    """The sampler's law, checked on its output: uniform on the domain.
+
+    On H(gamma), r2^c and (r1 / r2^(1/gamma))^2 are independent Uniform(0, 1)
+    with c = 2 + 2/gamma, and both phases are uniform; the bidiscs are the
+    limit 1/gamma = 0, c = 2.  Seed, sample size and tolerances are fixed.
+    """
+
+    N = 200_000
+
+    @pytest.fixture(scope="class", params=SAMPLED_SPECS, ids=str)
+    def drawn(self, request):
+        spec = request.param
+        z1, z2 = sample_uniform_arrays(spec, self.N, seed=2016)
+        inv_gamma = 1.0 / float(spec.gamma) if spec.is_triangle else 0.0
+        return spec, z1, z2, inv_gamma, 2.0 + 2.0 * inv_gamma
+
+    def test_every_point_is_inside(self, drawn):
+        spec, z1, z2, _, _ = drawn
+        assert inside_mask(spec, z1, z2).all()
+
+    def test_second_moments(self, drawn):
+        _, z1, z2, inv_gamma, c = drawn
+        for x, mean in ((np.abs(z2) ** 2, c / (c + 2.0)),
+                        (np.abs(z1) ** 2, c / (2.0 * (c + 2.0 * inv_gamma)))):
+            assert abs(x.mean() - mean) <= 5.0 * x.std() / math.sqrt(self.N)
+
+    def test_moduli_transform_to_uniforms(self, drawn):
+        _, z1, z2, inv_gamma, c = drawn
+        r1, r2 = np.abs(z1), np.abs(z2)
+        assert kstest(r2**c, "uniform").pvalue > 1e-3
+        assert kstest((r1 / r2**inv_gamma) ** 2, "uniform").pvalue > 1e-3
+
+    def test_phases_are_uniform(self, drawn):
+        # The 4th harmonic catches angles drawn from the square, not the disc.
+        _, z1, z2, _, _ = drawn
+        for z in (z1, z2):
+            phase = z / np.abs(z)
+            for m in (1, 2, 4):
+                assert abs((phase**m).mean()) <= 5.0 / math.sqrt(self.N)
+
+    def test_draw_memory_is_its_output_and_a_few_blocks(self):
+        # 10^6 points are 30.5 MiB of complex128; the blocks add at most 4 MiB.
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            z1, z2 = _fill_uniform(rng, DomainSpec.thin(3), 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z1.nbytes + z2.nbytes + 4 * 2**20
+
+    def test_unsampleable_domain_is_a_value_error(self, monkeypatch):
+        # thin:10^17: r2 rounds to 1, so every block lands in the top margin band.
+        monkeypatch.setattr(domain, "_EMPTY_BLOCKS", 3)
+        with pytest.raises(ValueError, match=r"^rejection sampling on thin:\d+ accepted 0 of 5 points$"):
+            _fill_uniform(np.random.default_rng(1), DomainSpec.thin(10**17), 5)
 
 
 def _helper_threads():

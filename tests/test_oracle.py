@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -526,6 +527,21 @@ def test_reproducing_batch_golden(key, monkeypatch):
     )
     got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
     assert got == GOLDEN_REPRODUCING[key]
+
+
+def test_reproducing_batch_memory_stays_bounded():
+    # Criterion 7's functions and points on fat:2 over three chunks: two
+    # chunks of samples (one drawn ahead), the chunk's function values and
+    # the block temporaries, not a chunk-length array per point or thread.
+    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+    zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
+    tracemalloc.start()
+    try:
+        oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 3_000_000, seed=6002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 2**20
 
 
 class TestHandOff:
