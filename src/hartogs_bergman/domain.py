@@ -338,7 +338,9 @@ def _fill_polar(rng: np.random.Generator, out: np.ndarray, r: np.ndarray) -> Non
         done += idx.size
 
 
-def _fill_uniform(rng: np.random.Generator, spec: DomainSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _fill_uniform(
+    rng: np.random.Generator, spec: DomainSpec, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw n uniform in-domain points, exactly, in blocks of at most _SAMPLE_BLOCK.
 
     Each block draws its moduli by inversion (``_moduli``) from one (2, m)
@@ -399,8 +401,9 @@ def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:
     """n i.i.d. points, uniform w.r.t. Lebesgue measure on the domain.
 
     Exact: moduli by inversion and phases without trigonometry
-    (``_fill_uniform``).  The points for a fixed (spec, n, seed) are a contract, pinned by a
-    golden-hash test: Monte Carlo verdicts and report bytes depend on them.
+    (``_fill_uniform``).  The points for a fixed (spec, n, seed) are a
+    contract, pinned by a golden-hash test: Monte Carlo verdicts and report
+    bytes depend on them.
     """
     z1, z2 = sample_uniform_arrays(spec, n, seed)
     return [Point2C(a, b) for a, b in zip(z1.tolist(), z2.tolist())]
