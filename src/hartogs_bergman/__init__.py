@@ -64,6 +64,7 @@ from .oracle import (
     inner_products_mc,
     kernel_series,
     parse_function,
+    series_row_sums,
     reproducing_check,
 )
 from .polynomials import (

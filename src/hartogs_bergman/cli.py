@@ -419,6 +419,96 @@ def _cmd_reproduce(args):
     return {"criteria": payload, "all_passed": ok}, 0 if ok else 2
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_json(o) -> str | None:
+    """json's text for a non-container value, in json's order of tests; None otherwise."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_json(o)
+    return None
+
+
+def _key_json(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_json(key))
+    if key is True or key is False or key is None:
+        return _encode_str(_scalar_json(key))
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(o, out: list, indent: str) -> None:
+    """Append the text of json.dumps(o, sort_keys=True, indent=2) to out, in one pass.
+
+    ``indent`` is the newline and indentation of o's items.  The pure-Python
+    encoder that ``indent`` selects in json formats one value per generator
+    step; this writer dispatches on exact types first, and joins a list of
+    finite floats in one call.
+    """
+    kind = type(o)
+    if kind is float:
+        out.append(_float_json(o))
+    elif kind is str:
+        out.append(_encode_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        close = indent[:-2] + "]"
+        if all(type(x) is float for x in o):
+            text = ("," + indent).join(map(float.__repr__, o))
+            if "n" not in text:  # no "nan" or "inf": every float is finite
+                out.append("[" + indent + text + close)
+                return
+        sep, deeper = "[" + indent, indent + "  "
+        for x in o:
+            out.append(sep)
+            _write_json(x, out, deeper)
+            sep = "," + indent
+        out.append(close)
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        sep, deeper = "{" + indent, indent + "  "
+        for key, value in sorted(o.items()):
+            head = sep + (_encode_str(key) if type(key) is str else _key_json(key)) + ": "
+            if type(value) is float:
+                out.append(head + _float_json(value))
+            else:
+                out.append(head)
+                _write_json(value, out, deeper)
+            sep = "," + indent
+        out.append(indent[:-2] + "}")
+    else:
+        text = _scalar_json(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
 _COMMANDS = {
     "eval": _cmd_eval,
     "identities": _cmd_identities,
@@ -452,7 +542,9 @@ def _emit(payload, args: argparse.Namespace) -> None:
             "params": _params_dict(args),
             "results": payload,
         }
-        text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(envelope, out, "\n  ")
+        text = "".join(out) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -338,6 +338,22 @@ def _fill_polar(rng: np.random.Generator, out: np.ndarray, r: np.ndarray) -> Non
         done += idx.size
 
 
+def _keep_share_bound(spec: DomainSpec) -> float:
+    """Upper bound on the share of ``_moduli`` draws that the membership predicate keeps.
+
+    On H(gamma) the top margin keeps r2 < 1 - margin, a share
+    (1 - margin)^(2 + 2/gamma) of the u draws.  The curve margin keeps at
+    most a share (1 - margin)^(2/gamma) of the v draws: r1 = r2^(1/gamma)
+    sqrt(v) must stay below (r2 - margin)^(1/gamma) <= (r2 (1 - margin))^(1/gamma).
+    The bound is twice their product, at most 1, because where it is small,
+    rounding r2 and its power moves the share actually kept by some percent.
+    On the bidiscs it is 1.
+    """
+    if not spec.is_triangle:
+        return 1.0
+    return min(1.0, 2.0 * math.exp(float(2 + 4 / spec.gamma) * math.log1p(-BOUNDARY_MARGIN)))
+
+
 def _fill_uniform(
     rng: np.random.Generator, spec: DomainSpec, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -375,6 +391,25 @@ def _fill_uniform(
     return z1, z2
 
 
+def _require_keep_share(spec: DomainSpec, n: int) -> None:
+    """Raise ValueError if ``_fill_uniform`` cannot be expected to draw n points before its cap.
+
+    With share from ``_keep_share_bound``, a block of m draws is empty with
+    probability q = (1 - share)^m.  Until _EMPTY_BLOCKS + 1 are empty, (_EMPTY_BLOCKS + 1) / q
+    blocks are drawn on average, and each keeps share * m points on average.
+    """
+    share, block = _keep_share_bound(spec), min(n, _SAMPLE_BLOCK)
+    if share == 1.0:
+        return
+    empty = math.exp(block * math.log1p(-share))
+    expect = (_EMPTY_BLOCKS + 1) * block * share / empty if empty > 0.0 else math.inf
+    if expect < n:
+        raise ValueError(
+            f"rejection sampling on {spec} keeps at most {share:.3g} of its draws: "
+            f"blocks of {block} until {_EMPTY_BLOCKS + 1} are empty expect {expect:.3g} points, "
+            f"fewer than {n}")
+
+
 def sample_uniform_arrays(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Array form of sample_uniform: two complex arrays (z1, z2) of length n."""
     return next(sample_chunks(spec, n, seed, n))
@@ -386,12 +421,14 @@ def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
     The chunks are the successive ``_fill_uniform`` draws of one
     ``default_rng(seed)``, so the stream is fixed by (spec, n, seed, chunk).
     Each chunk is drawn when it is asked for, in the thread that asks; the
-    stream starts no thread of its own.
+    stream starts no thread of its own.  A domain too thin to yield a chunk
+    raises ValueError before any draw (``_require_keep_share``).
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if chunk < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk}")
+    _require_keep_share(spec, min(n, chunk))
     rng = np.random.default_rng(seed)
     for lo in range(0, n, chunk):
         yield _fill_uniform(rng, spec, min(chunk, n - lo))

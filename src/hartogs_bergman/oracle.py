@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import DomainSpec, Point2C, require_inside, sample_chunks, volume
+from .domain import DomainSpec, Point2C, ipow, require_inside, sample_chunks, volume
 from .kernels import PI_SQ, THIN_VARIANT_DEFAULT, ThinVariant, kernel_num_den, near_singular
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "monomial_norm_sq",
     "basis_norms",
     "kernel_series",
+    "series_row_sums",
     "inner_product_mc",
     "inner_products_mc",
     "parse_function",
@@ -133,20 +134,35 @@ class SeriesTruncation:
     tail_estimate: float
 
 
+def _tail_factors(gf: float, abs_s, x):
+    """rho = |s| / |t|^(1/gamma) and the row prefactor of the tail bound, for |t| = x < 1.
+
+    Using |t|^b_min(a) <= |t|^(-1-(a+1)/gamma) and the coefficient bound at
+    b = b_min, row a is at most (2a+2) rho^a pref with
+    pref = |t|^(-1-1/gamma) (2/(1-x) + 2x/(1-x)^2).  Floats or arrays alike.
+    """
+    rho = abs_s * x ** (-1.0 / gf)
+    one_mx = 1.0 - x
+    return rho, x ** (-1.0 - 1.0 / gf) * (2.0 / one_mx + 2.0 * x / one_mx**2)
+
+
+def _rows_tail(pref, rho, a):
+    """pref * sum_{a' > a} (2a'+2) rho^a': the rows after row a in full (rho < 1)."""
+    return pref * (2.0 * rho ** (a + 1) * ((a + 2) * (1.0 - rho) + rho) / (1.0 - rho) ** 2)
+
+
 def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float):
     """Upper bound on the dropped series mass as a function of (a_max, b_max), with what does not
     depend on them computed once; b_max=None drops only the rows a > a_max."""
     g = _require_triangle(spec)
     gf = float(g)
     x = abs_t
-    rho = math.inf if x >= 1.0 else abs_s * x ** (-1.0 / gf)
+    if x >= 1.0:
+        return lambda a_max, b_max: math.inf
+    rho, pref = _tail_factors(gf, abs_s, x)
     if rho >= 1.0:
         return lambda a_max, b_max: math.inf
     one_mx = 1.0 - x
-    # Rows a > a_max in full.  Using |t|^b_min(a) <= |t|^(-1-(a+1)/gamma) and
-    # the coefficient bound at b = b_min, each row is at most
-    # (2a+2) rho^a |t|^(-1-1/gamma) (2/(1-x) + 2x/(1-x)^2).
-    pref = x ** (-1.0 - 1.0 / gf) * (2.0 / one_mx + 2.0 * x / one_mx**2)
 
     def bound(a_max: int, b_max: int | None) -> float:
         # Rows a <= a_max, dropped powers b > b_max:
@@ -161,9 +177,7 @@ def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float):
                 tail_b = 2.0 * xB * ((b_max + 1) * one_mx + x) / one_mx**2 + c * xB / one_mx
                 t1 += spow * (2 * a + 2) * tail_b
                 spow *= abs_s
-        geom = 2.0 * rho ** (a_max + 1) * ((a_max + 2) * (1.0 - rho) + rho) / (1.0 - rho) ** 2
-        t2 = pref * geom
-        return (t1 + t2) / (4.0 * PI_SQ)
+        return (t1 + _rows_tail(pref, rho, a_max)) / (4.0 * PI_SQ)
 
     return bound
 
@@ -228,6 +242,106 @@ def kernel_series(
         lead *= s * t ** (nxt - beta)
         beta = nxt
     raise NonconvergentTruncation(f"tail bound {tail:.3e} exceeds tolerance at row {a}")
+
+
+# Rows in the first block of series_row_sums; each later block is twice as wide,
+# up to _BLOCK_CELLS (pair, row) cells: 4 MiB per complex block array.  The
+# sums run across blocks in one order, so neither constant changes a bit.
+_ROW_BLOCK = 64
+_BLOCK_CELLS = 2**18
+
+
+def _b_mins(g: Fraction, lo: int, hi: int) -> np.ndarray:
+    """b_min(a) for lo <= a < hi: int64 while (a+1) q fits, else Python ints."""
+    p, q = g.numerator, g.denominator
+    if (hi + 1) * q + p < 2**62:
+        a = np.arange(lo, hi, dtype=np.int64)
+        return -(((a + 1) * q + p - 1) // p)
+    return np.array([_b_min(g, a) for a in range(lo, hi)], dtype=object)
+
+
+def series_row_sums(
+    spec: DomainSpec, s, t, tol: float, *, max_rect: int = 2**17
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """kernel_series's auto mode on arrays of (s, t) = (z1 conj(w1), z2 conj(w2)).
+
+    Returns (values, rows, tails): each pair's sum, the rows it summed and
+    its tail bound.  Rows are taken in blocks for all pairs still active,
+    _ROW_BLOCK wide at first and doubling: the running row leaders by
+    ``np.multiply.accumulate`` and the totals by ``np.add.accumulate`` from
+    the running total, in kernel_series's order.  A pair leaves at the first
+    row whose tail bound passes, so its rows and tail are kernel_series's;
+    its value agrees to rounding, as numpy's complex products and quotients
+    may round differently from Python's in the last bit.  A tolerance that
+    is not > 0, or a negative max_rect, raises ValueError before any
+    summing; NonconvergentTruncation names the row for the first pair, in
+    pair order, that reaches max_rect.  Membership is the caller's to check.
+    """
+    if not tol > 0:
+        raise ValueError(f"series tolerance must be > 0, got {tol}")
+    if max_rect < 0:
+        raise ValueError("truncation bounds must be nonnegative")
+    g = _require_triangle(spec)
+    gf = float(g)
+    s = np.asarray(s, dtype=np.complex128)
+    t = np.asarray(t, dtype=np.complex128)
+    values = np.empty(len(s), dtype=np.complex128)
+    rows = np.empty(len(s), dtype=np.int64)
+    tails = np.empty(len(s))
+    with np.errstate(all="ignore"):  # pairs outside give inf or NaN and never pass
+        inv = 1.0 / (1.0 - t)
+        ramp = 2.0 * t * inv * inv
+        x = np.hypot(t.real, t.imag)  # abs as Python rounds it
+        rho, pref = _tail_factors(gf, np.hypot(s.real, s.imag), x)
+    rho[x >= 1.0] = math.inf
+    steps = {}  # step d -> s t^d, the leader's factor from a row to the next
+
+    def step(d):
+        if d not in steps:
+            steps[d] = s if d == 0 else s * (1.0 / ipow(t, -d))
+        return steps[d]
+
+    beta = _b_min(g, 0)
+    active = np.arange(len(s))
+    lead = 1.0 / ipow(t, -beta)  # t^beta, beta < 0
+    total = np.zeros(len(s), dtype=np.complex128)
+    a0, width = 0, _ROW_BLOCK
+    while active.size:
+        w = min(width, max_rect + 1 - a0, max(_BLOCK_CELLS // active.size, 1))
+        a = np.arange(a0, a0 + w)
+        betas = _b_mins(g, a0, a0 + w + 1)
+        ds, which = np.unique(np.diff(betas), return_inverse=True)
+        factors = np.stack([step(int(d))[active] for d in ds], axis=1)
+        with np.errstate(all="ignore"):
+            # Row leaders s^a t^b_min(a), then (2a+2) lead ((2 beta + c) inv + ramp).
+            terms = np.empty((active.size, w), dtype=np.complex128)
+            terms[:, 0] = lead
+            terms[:, 1:] = factors[:, which[:-1]]
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            lead = terms[:, -1] * factors[:, which[-1]]
+            coef = (2 * betas[:-1] + (2.0 + (2 * a + 2) / gf)).astype(np.float64)
+            terms *= 2 * a + 2
+            terms *= coef * inv[active, None] + ramp[active, None]
+            terms[:, 0] += total
+            np.add.accumulate(terms, axis=1, out=terms)
+            total = terms[:, -1]
+            # Real and imaginary parts divided apart, as Python divides by a float.
+            value = (terms.view(np.float64) / (4.0 * PI_SQ)).view(np.complex128)
+            tail = _rows_tail(pref[active, None], rho[active, None], a) / (4.0 * PI_SQ)
+        tail[rho[active] >= 1.0] = math.inf
+        passed = tail <= tol * np.fmax(1.0, np.hypot(value.real, value.imag))
+        done = passed.any(axis=1)
+        if a0 + w > max_rect and not done.all():
+            first = np.argmin(done)
+            raise NonconvergentTruncation(
+                f"tail bound {tail[first, -1]:.3e} exceeds tolerance at row {max_rect}")
+        row = passed[done].argmax(axis=1)
+        values[active[done]] = value[done, row]
+        rows[active[done]] = a0 + row + 1
+        tails[active[done]] = tail[done, row]
+        active, lead, total = active[~done], lead[~done], total[~done]
+        a0, width = a0 + w, 2 * width
+    return values, rows, tails
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ class TestChecks:
         def no_tail(*args, **kwargs):
             raise NonconvergentTruncation("tail bound 1e-3 still above tolerance")
 
-        monkeypatch.setattr(acceptance, "kernel_series", no_tail)
+        monkeypatch.setattr(acceptance, "series_row_sums", no_tail)
         report = tmp_path / "report.json"
         code, out, err = run(
             capsys, "--out", str(report), "series-compare", "--spec", "thin:2", "--pairs", "3",
