@@ -246,7 +246,10 @@ def kernel_series(
 
 # Rows in the first block of series_row_sums; each later block is twice as wide,
 # up to _BLOCK_CELLS (pair, row) cells: 4 MiB per complex block array.  The
-# sums run across blocks in one order, so neither constant changes a bit.
+# sums run across blocks in one order, so neither constant changes a row or a
+# tail bound.  A value's last bit can change with them, and with the number
+# of pairs still active: numpy takes a scalar loop to accumulate one pair's
+# row and a vector loop across pairs, and the two round differently.
 _ROW_BLOCK = 64
 _BLOCK_CELLS = 2**18
 
