@@ -1,12 +1,16 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hartogs_bergman import acceptance, cli
 from hartogs_bergman.acceptance import criterion_2_fat_series
@@ -458,6 +462,20 @@ class TestUsageErrors:
             assert err.endswith(f"fewer than {pairs}\n")
 
 
+    @pytest.mark.parametrize("k", [10**15, 10**16])
+    def test_unsampleable_thin_exponent_exits_one_at_once(self, capsys, k):
+        # r2 = u^(1/(2k+2)) lies in the 1e-14 top margin for all but ~e^(-2k 1e-14) of the
+        # draws: the sampler's keep share bound fails before any draw.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "inner-product", "--spec", f"thin:{k}", "--f", "one", "--g",
+                             "one", "--n", "20000")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"hartogs-bergman inner-product: error: rejection sampling on thin:{k} "
+                              "keeps at most ")
+        assert err.endswith(" fewer than 20000\n")
+
     def test_bell_check_names_the_image_outside_fat(self, capsys):
         # Pair 6's z is inside the classical triangle, but its image
         # phi(z) = (z1, z2^40) falls in fat:40's margin band.
@@ -534,3 +552,94 @@ def test_make_tables_writes_every_table(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(list(tmp_path.glob("*.csv"))) == 44
+
+
+def _json_dumps_text(value):
+    """json.dumps(value, sort_keys=True, indent=2), or the type of what it raises."""
+    try:
+        return json.dumps(value, sort_keys=True, indent=2)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _writer_text(value):
+    out = []
+    try:
+        cli._write_json(value, out, "\n  ")
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return "".join(out)
+
+
+JSON_COMMANDS = [
+    ("eval", "--spec", "thin:2", "--z", "0.05,0.01", "0.5,0.1", "--w", "0.01,0.02", "0.4,-0.3"),
+    ("identities", "--kmax", "6"),
+    ("series-compare", "--spec", "thin:3", "--pairs", "6", "--seed", "2"),
+    ("series-compare", "--spec", "thin:2", "--pairs", "6", "--seed", "5", "--thin-variant", "1-s",
+     "--max-mod", "0.3"),
+    ("bell-check", "--k", "3", "--pairs", "30", "--seed", "4"),
+    ("biholo-check", "--map", "shear-iter-inv", "--k", "2", "--pairs", "30", "--seed", "4"),
+    ("inner-product", "--spec", "fat:2", "--f", "z1", "--g", "z2inv", "--n", "5000", "--seed", "2"),
+    ("reproducing", "--spec", "classical", "--f", "z2", "--n", "5000", "--seed", "2"),
+    ("lqk", "--kmax", "6"),
+    ("lqk", "--thin-k", "2", "--pairs", "500", "--seed", "2"),
+    ("volume", "--spec", "thin:2", "--n", "5000", "--seed", "2"),
+    ("reproduce", "--only", "1", "4"),
+]
+
+
+class TestJsonWriter:
+    """cli._emit's writer makes json.dumps(sort_keys=True, indent=2)'s bytes."""
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+    def test_every_json_command_matches_json_dumps(self, capsys, monkeypatch, argv):
+        envelopes = []
+
+        def recording(value, out, indent):
+            envelopes.append(value)
+            return writer(value, out, indent)
+
+        writer = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", recording)
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 2)
+        assert out == json.dumps(envelopes[0], sort_keys=True, indent=2) + "\n"
+
+    @given(st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(min_value=-2**70, max_value=2**70),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2**64, -2**64, 1e-320]),
+            st.text(), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é∑😀", " "]),
+            st.builds(np.float64, st.floats(allow_nan=True, allow_infinity=True)),
+        ),
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            st.dictionaries(st.text(max_size=4), children, max_size=5),
+            st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), children,
+                            max_size=3),
+        ),
+        max_leaves=30,
+    ))
+    def test_nested_values_match_json_dumps(self, value):
+        assert _writer_text(value) == _json_dumps_text(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], {"a": {}}, [1.5, math.nan], [0.1, -math.inf, 2.0], (0.25, -0.0),
+        {1: "one", 2.5: [True, None], None: 0, False: -0.0}, {math.inf: 1, -math.inf: 2, 0.5: 3},
+        {math.nan: "nan key"}, {"x": np.float64(0.1)},
+        [np.float64(math.inf), np.float64(-1e300)],
+    ], ids=repr)
+    def test_edge_values_match_json_dumps(self, value):
+        assert _writer_text(value) == _json_dumps_text(value)
+
+    @pytest.mark.parametrize("value", [np.int64(3), [1.0, np.int64(3)], {3, 4}, {"a": {1}},
+                                       {(1, 2): 0}, {"a": 1, 2: 0}, [np.bool_(True)], object()],
+                             ids=repr)
+    def test_type_errors_are_json_dumps_type_errors(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as raised:
+            cli._write_json(value, [], "\n  ")
+        assert str(raised.value) == str(expected.value)

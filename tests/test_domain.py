@@ -366,6 +366,27 @@ class TestExactSampler:
             tracemalloc.stop()
         assert peak <= z1.nbytes + z2.nbytes + 4 * 2**20
 
+    @pytest.mark.parametrize("k", [10**14, 2 * 10**14])
+    def test_keep_share_bound_holds_where_it_binds(self, k):
+        spec = DomainSpec.thin(k)
+        u, v = np.random.default_rng(7).random((2, 10**6))
+        kept = np.count_nonzero(domain._inside_moduli(spec, *domain._moduli(spec, u, v)))
+        assert 0 < kept <= domain._keep_share_bound(spec) * 10**6 < 10**6
+
+    @pytest.mark.parametrize("spec", [DomainSpec.classical(), DomainSpec.fat(8), DomainSpec.thin(4),
+                                      DomainSpec.thin(10**12), DomainSpec.bidisc()], ids=str)
+    def test_keep_share_bound_is_one_where_blocks_keep_points(self, spec):
+        assert domain._keep_share_bound(spec) == 1.0
+
+    def test_stream_too_thin_to_expect_a_chunk_fails_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(domain, "_fill_uniform", no_draw)
+        with pytest.raises(ValueError, match=r"^rejection sampling on thin:\d+ keeps at most .* "
+                                             r"fewer than 5$"):
+            next(sample_chunks(DomainSpec.thin(10**15), 5, 1, 5))
+
     def test_unsampleable_domain_is_a_value_error(self, monkeypatch):
         # thin:10^17: r2 rounds to 1, so every block lands in the top margin band.
         monkeypatch.setattr(domain, "_EMPTY_BLOCKS", 3)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import threading
 import time
@@ -17,9 +18,9 @@ from hartogs_bergman import (
     bergman_fat,
     bergman_thin,
 )
-from hartogs_bergman import cli, domain, kernels, oracle
+from hartogs_bergman import acceptance, cli, domain, kernels, oracle
 from hartogs_bergman.domain import _fill_uniform, sample_chunks, sample_uniform_arrays, volume
-from hartogs_bergman.kernels import kernel_num_den
+from hartogs_bergman.kernels import kernel_num_den, pair_invariants
 from hartogs_bergman.oracle import (
     Monomial,
     NonconvergentTruncation,
@@ -32,6 +33,7 @@ from hartogs_bergman.oracle import (
     monomial_norm_sq,
     parse_function,
     reproducing_check,
+    series_row_sums,
 )
 
 PI_SQ = math.pi**2
@@ -306,6 +308,103 @@ class TestTailBoundSplit:
             assert trunc.terms_used == trunc.a_max + 1
             # No earlier row passed; its partial sum was within 1% of value.
             assert all(bound(a, None) > 0.99 * tol * max(1.0, abs(value)) for a in range(trunc.a_max))
+
+
+EPS = np.finfo(float).eps
+
+
+def _series_pairs(spec, seed, n=25):
+    """The pairs series-compare draws by default: |s|, |t| <= 0.4."""
+    def small(s, t):
+        return (np.abs(s) <= 0.4) & (np.abs(t) <= 0.4)
+
+    return acceptance._pairs(spec, n, seed, keep=small)
+
+
+def _assert_matches_kernel_series(spec, pairs, tol=1e-10):
+    # Identical rows and tail rows, and values within 8 rows eps of the scalar reference.
+    values, rows, tails = series_row_sums(spec, *pair_invariants(*pairs.T), tol)
+    for (z1, z2, w1, w2), value, used, tail in zip(pairs.tolist(), values, rows, tails):
+        series, trunc = kernel_series(spec, Point2C(z1, z2), Point2C(w1, w2), tol=tol)
+        assert used == trunc.terms_used
+        assert tail <= tol * max(1.0, abs(value))
+        assert abs(value - series) <= 8 * used * EPS * abs(series)
+    return rows
+
+
+class TestSeriesRowSumsOnArrays:
+    """series_row_sums is kernel_series's auto mode, pair for pair."""
+
+    @pytest.mark.parametrize("spec", ROW_SUM_SPECS, ids=str)
+    def test_matches_kernel_series_over_forty_seeds(self, spec):
+        for seed in range(3000, 3040):
+            _assert_matches_kernel_series(spec, _series_pairs(spec, seed))
+
+    @pytest.mark.parametrize("spec, seed, rows", [(DomainSpec.fat(1), 1403, 90_857),
+                                                  (DomainSpec.thin(4), 10118, 24_528)], ids=str)
+    def test_matches_kernel_series_as_rho_nears_one(self, spec, seed, rows):
+        assert _assert_matches_kernel_series(spec, _series_pairs(spec, seed)).max() == rows
+
+    def test_zero_s_is_certified_by_the_first_row(self):
+        z = Point2C(0.0, 0.99)
+        values, rows, tails = series_row_sums(DomainSpec.fat(2), [0j, 0.1j], [0.99**2, 0.25], 1e-8)
+        assert (rows[0], tails[0]) == (1, 0.0)
+        assert abs(values[0] - bergman_fat(2, z, z).value) <= 1e-12 * abs(values[0])
+        assert rows[1] > 1
+
+    def test_block_widths_change_no_row(self, monkeypatch):
+        # Narrow blocks split every accumulation; the sums still run in one order.
+        spec = DomainSpec.thin(4)
+        pairs = _series_pairs(spec, 10118)
+        values, rows, tails = series_row_sums(spec, *pair_invariants(*pairs.T), 1e-10)
+        monkeypatch.setattr(oracle, "_ROW_BLOCK", 3)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 50)
+        narrow, narrow_rows, narrow_tails = series_row_sums(spec, *pair_invariants(*pairs.T), 1e-10)
+        assert np.array_equal(rows, narrow_rows) and np.array_equal(tails, narrow_tails)
+        assert np.all(np.abs(narrow - values) <= 8 * rows * EPS * np.abs(values))
+
+    def test_values_do_not_depend_on_where_the_arrays_sit(self):
+        spec = DomainSpec.fat(3)
+        s, t = pair_invariants(*_series_pairs(spec, 3001).T)
+        results = [series_row_sums(spec, s, t, 1e-10)]
+        for offset in (1, 3):
+            buf = np.zeros((2, len(s) + offset), dtype=np.complex128)
+            buf[0, offset:], buf[1, offset:] = s, t
+            results.append(series_row_sums(spec, buf[0, offset:], buf[1, offset:], 1e-10))
+        assert all(a.tobytes() == b.tobytes() for r in results[1:] for a, b in zip(results[0], r))
+
+    def test_row_cap_names_the_first_pair_that_reaches_it(self):
+        spec, cap = DomainSpec.fat(1), 64
+        pairs = _series_pairs(spec, 1403)
+        expected = None
+        for z1, z2, w1, w2 in pairs.tolist():
+            try:
+                kernel_series(spec, Point2C(z1, z2), Point2C(w1, w2), tol=1e-10, max_rect=cap)
+            except NonconvergentTruncation as exc:
+                expected = str(exc)
+                break
+        assert expected is not None and expected.endswith(f"at row {cap}")
+        with pytest.raises(NonconvergentTruncation) as info:
+            series_row_sums(spec, *pair_invariants(*pairs.T), 1e-10, max_rect=cap)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_bad_tolerance_raises_before_summing(self, monkeypatch, tol):
+        monkeypatch.setattr(oracle, "_tail_factors", None)  # any summing would fail on it
+        with pytest.raises(ValueError, match="series tolerance must be > 0"):
+            series_row_sums(DomainSpec.fat(2), [0.01], [0.2], tol)
+        with pytest.raises(ValueError, match="truncation bounds must be nonnegative"):
+            series_row_sums(DomainSpec.fat(2), [0.01], [0.2], 1e-8, max_rect=-1)
+
+    def test_series_deviations_names_the_first_pair_outside(self, monkeypatch):
+        spec = DomainSpec.fat(2)
+        pairs = _series_pairs(spec, 3)
+        pairs[3, 3] = 1.0  # w2 on the top face
+        pairs[5, 1] = 1.0
+        monkeypatch.setattr(acceptance, "_pairs", lambda *args, **kwargs: pairs)
+        message = f"w ({pairs[3, 2]}, (1+0j)) is not inside fat:2"
+        with pytest.raises(domain.DomainError, match=f"^{re.escape(message)}$"):
+            acceptance.series_deviations(spec, 25, 3)
 
 
 class TestFunctionParsing:
