@@ -64,8 +64,8 @@ from .oracle import (
     inner_products_mc,
     kernel_series,
     parse_function,
-    series_row_sums,
     reproducing_check,
+    series_row_sums,
 )
 from .polynomials import (
     IdentityReport,

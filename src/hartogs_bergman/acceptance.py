@@ -152,11 +152,11 @@ def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float 
     s, t = pair_invariants(z1, z2, w1, w2)
     num, den = kernel_num_den(spec, s, t, thin_variant)
     closed = np.divide(num, den, out=np.full(den.shape, complex("nan")), where=den != 0)
-    series, used, tails = series_row_sums(spec, s, t, series_tol)
-    return [(Point2C(z1, z2), Point2C(w1, w2), value, sum_, SeriesTruncation(n - 1, None, n, tail),
-             abs(sum_ - value) / abs(value))
-            for (z1, z2, w1, w2), value, sum_, n, tail
-            in zip(pairs.tolist(), closed.tolist(), series.tolist(), used.tolist(), tails.tolist())]
+    sums, rows, tails = series_row_sums(spec, s, t, series_tol)
+    return [(Point2C(z1, z2), Point2C(w1, w2), value, series,
+             SeriesTruncation(used - 1, None, used, tail), abs(series - value) / abs(value))
+            for (z1, z2, w1, w2), value, series, used, tail
+            in zip(pairs.tolist(), closed.tolist(), sums.tolist(), rows.tolist(), tails.tolist())]
 
 
 def bell_residuals(k: int, n_pairs: int, seed_z: int, seed_w: int) -> list[float]:

@@ -425,8 +425,10 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _float_json(x: float) -> str:
     if x != x:
         return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
     return float.__repr__(x)
 
 
@@ -448,14 +450,11 @@ def _scalar_json(o) -> str | None:
 
 
 def _key_json(key) -> str:
+    """json's quoted text for a dict key: a str, int, float, bool or None."""
     if isinstance(key, str):
         return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_json(key))
-    if key is True or key is False or key is None:
-        return _encode_str(_scalar_json(key))
-    if isinstance(key, int):
-        return _encode_str(int.__repr__(key))
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _scalar_json(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 

@@ -273,12 +273,13 @@ def series_row_sums(
     _ROW_BLOCK wide at first and doubling: the running row leaders by
     ``np.multiply.accumulate`` and the totals by ``np.add.accumulate`` from
     the running total, in kernel_series's order.  A pair leaves at the first
-    row whose tail bound passes, so its rows and tail are kernel_series's;
-    its value agrees to rounding, as numpy's complex products and quotients
-    may round differently from Python's in the last bit.  A tolerance that
-    is not > 0, or a negative max_rect, raises ValueError before any
-    summing; NonconvergentTruncation names the row for the first pair, in
-    pair order, that reaches max_rect.  Membership is the caller's to check.
+    row whose tail bound passes, so it sums kernel_series's rows; its value
+    and tail bound agree to rounding, as numpy's complex products, quotients
+    and powers may round differently from Python's in the last bit.  A
+    tolerance that is not > 0, or a negative max_rect, raises ValueError
+    before any summing; NonconvergentTruncation names the row for the first
+    pair, in pair order, that reaches max_rect.  Membership is the caller's
+    to check.
     """
     if not tol > 0:
         raise ValueError(f"series tolerance must be > 0, got {tol}")
