@@ -182,6 +182,10 @@ def _tail_bound(spec: DomainSpec, abs_s: float, abs_t: float):
     return bound
 
 
+# The last row the auto mode of kernel_series sums by default, and of series_row_sums.
+_MAX_ROWS = 2**17
+
+
 def kernel_series(
     spec: DomainSpec,
     z: Point2C,
@@ -191,7 +195,7 @@ def kernel_series(
     tol: float | None = 1e-8,
     *,
     check: bool = True,
-    max_rect: int = 2**17,
+    max_rect: int = _MAX_ROWS,
 ) -> tuple[complex, SeriesTruncation]:
     """Series sum over rows a = 0, 1, ..., each summed over b in closed form.
 
@@ -254,18 +258,7 @@ _ROW_BLOCK = 64
 _BLOCK_CELLS = 2**18
 
 
-def _b_mins(g: Fraction, lo: int, hi: int) -> np.ndarray:
-    """b_min(a) for lo <= a < hi: int64 while (a+1) q fits, else Python ints."""
-    p, q = g.numerator, g.denominator
-    if (hi + 1) * q + p < 2**62:
-        a = np.arange(lo, hi, dtype=np.int64)
-        return -(((a + 1) * q + p - 1) // p)
-    return np.array([_b_min(g, a) for a in range(lo, hi)], dtype=object)
-
-
-def series_row_sums(
-    spec: DomainSpec, s, t, tol: float, *, max_rect: int = 2**17
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def series_row_sums(spec: DomainSpec, s, t, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """kernel_series's auto mode on arrays of (s, t) = (z1 conj(w1), z2 conj(w2)).
 
     Returns (values, rows, tails): each pair's sum, the rows it summed and
@@ -276,17 +269,18 @@ def series_row_sums(
     row whose tail bound passes, so it sums kernel_series's rows; its value
     and tail bound agree to rounding, as numpy's complex products, quotients
     and powers may round differently from Python's in the last bit.  A
-    tolerance that is not > 0, or a negative max_rect, raises ValueError
-    before any summing; NonconvergentTruncation names the row for the first
-    pair, in pair order, that reaches max_rect.  Membership is the caller's
-    to check.
+    tolerance that is not > 0, or a gamma = p/q whose b_min(a) leaves int64
+    before row _MAX_ROWS (thin:k from k ~ 2^46), raises ValueError before any
+    summing; NonconvergentTruncation names row _MAX_ROWS for the first pair,
+    in pair order, that reaches it.  Membership is the caller's to check.
     """
     if not tol > 0:
         raise ValueError(f"series tolerance must be > 0, got {tol}")
-    if max_rect < 0:
-        raise ValueError("truncation bounds must be nonnegative")
     g = _require_triangle(spec)
     gf = float(g)
+    p, q = g.numerator, g.denominator
+    if (_MAX_ROWS + 2) * q + p - 1 >= 2**63:
+        raise ValueError(f"b_min on {spec} leaves int64 before row {_MAX_ROWS}")
     s = np.asarray(s, dtype=np.complex128)
     t = np.asarray(t, dtype=np.complex128)
     values = np.empty(len(s), dtype=np.complex128)
@@ -311,9 +305,10 @@ def series_row_sums(
     total = np.zeros(len(s), dtype=np.complex128)
     a0, width = 0, _ROW_BLOCK
     while active.size:
-        w = min(width, max_rect + 1 - a0, max(_BLOCK_CELLS // active.size, 1))
+        w = min(width, _MAX_ROWS + 1 - a0, max(_BLOCK_CELLS // active.size, 1))
         a = np.arange(a0, a0 + w)
-        betas = _b_mins(g, a0, a0 + w + 1)
+        # b_min(a) for a0 <= a <= a0 + w, as _b_min computes it.
+        betas = -((np.arange(a0 + 1, a0 + w + 2, dtype=np.int64) * q + p - 1) // p)
         ds, which = np.unique(np.diff(betas), return_inverse=True)
         factors = np.stack([step(int(d))[active] for d in ds], axis=1)
         with np.errstate(all="ignore"):
@@ -335,10 +330,10 @@ def series_row_sums(
         tail[rho[active] >= 1.0] = math.inf
         passed = tail <= tol * np.fmax(1.0, np.hypot(value.real, value.imag))
         done = passed.any(axis=1)
-        if a0 + w > max_rect and not done.all():
+        if a0 + w > _MAX_ROWS and not done.all():
             first = np.argmin(done)
             raise NonconvergentTruncation(
-                f"tail bound {tail[first, -1]:.3e} exceeds tolerance at row {max_rect}")
+                f"tail bound {tail[first, -1]:.3e} exceeds tolerance at row {_MAX_ROWS}")
         row = passed[done].argmax(axis=1)
         values[active[done]] = value[done, row]
         rows[active[done]] = a0 + row + 1

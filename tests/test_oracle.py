@@ -373,8 +373,9 @@ class TestSeriesRowSumsOnArrays:
             results.append(series_row_sums(spec, buf[0, offset:], buf[1, offset:], 1e-10))
         assert all(a.tobytes() == b.tobytes() for r in results[1:] for a, b in zip(results[0], r))
 
-    def test_row_cap_names_the_first_pair_that_reaches_it(self):
+    def test_row_cap_names_the_first_pair_that_reaches_it(self, monkeypatch):
         spec, cap = DomainSpec.fat(1), 64
+        monkeypatch.setattr(oracle, "_MAX_ROWS", cap)
         pairs = _series_pairs(spec, 1403)
         expected = None
         for z1, z2, w1, w2 in pairs.tolist():
@@ -385,7 +386,7 @@ class TestSeriesRowSumsOnArrays:
                 break
         assert expected is not None and expected.endswith(f"at row {cap}")
         with pytest.raises(NonconvergentTruncation) as info:
-            series_row_sums(spec, *pair_invariants(*pairs.T), 1e-10, max_rect=cap)
+            series_row_sums(spec, *pair_invariants(*pairs.T), 1e-10)
         assert str(info.value) == expected
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
@@ -393,8 +394,15 @@ class TestSeriesRowSumsOnArrays:
         monkeypatch.setattr(oracle, "_tail_factors", None)  # any summing would fail on it
         with pytest.raises(ValueError, match="series tolerance must be > 0"):
             series_row_sums(DomainSpec.fat(2), [0.01], [0.2], tol)
-        with pytest.raises(ValueError, match="truncation bounds must be nonnegative"):
-            series_row_sums(DomainSpec.fat(2), [0.01], [0.2], 1e-8, max_rect=-1)
+
+    def test_exponents_past_int64_raise_before_summing(self, monkeypatch):
+        # thin:k has b_min(a) = -(a+1) k; a block forms b_min up to row _MAX_ROWS + 1.
+        last = (2**63 - 1) // (oracle._MAX_ROWS + 2)
+        monkeypatch.setattr(oracle, "_tail_factors", None)  # any summing would fail on it
+        with pytest.raises(TypeError):
+            series_row_sums(DomainSpec.thin(last), [0j], [0.5], 1e-8)
+        with pytest.raises(ValueError, match=f"^b_min on thin:{last + 1} leaves int64 before row"):
+            series_row_sums(DomainSpec.thin(last + 1), [0j], [0.5], 1e-8)
 
     def test_series_deviations_names_the_first_pair_outside(self, monkeypatch):
         spec = DomainSpec.fat(2)
