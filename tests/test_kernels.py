@@ -20,7 +20,7 @@ from hartogs_bergman import (
 )
 from hartogs_bergman import cli, kernels
 from hartogs_bergman.domain import sample_uniform_arrays
-from hartogs_bergman.kernels import kernel_num_den, near_singular
+from hartogs_bergman.kernels import kernel_num_den, near_singular, pair_invariants
 
 PI_SQ = math.pi**2
 
@@ -241,6 +241,61 @@ def test_scalar_entry_points_golden(text):
         for kv in _scalar_results(text)
     ]
     assert _digest(lines) == GOLDEN_SCALAR[text]
+
+
+# The array path of kernel_num_den, pinned bit for bit: the sha256 of the
+# numerator and denominator bytes on seeded pair arrays of each domain, one
+# hash per thin variant.  Same sampler and platform caveats as GOLDEN_SCALAR.
+GOLDEN_ARRAY = {
+    ("fat:1", "1-t"):
+        "e0ff71fa3e2972ffe08f55acae28cd29ff793737a504529ef8ff1b8e7ba2d245",
+    ("fat:2", "1-t"):
+        "b977b1e483a9d6a44c10128443a20ae56bda3ceb96798e05d0cb31c8b4db6808",
+    ("fat:3", "1-t"):
+        "d7503b014ca2bf9628eb2c9790d9862a65b04048392408356fd4651ab3fae596",
+    ("fat:4", "1-t"):
+        "25cdf4104e58cbc4f917c4eba29b385a5df0cfbe58d1ca162b6111f127ad32d6",
+    ("fat:5", "1-t"):
+        "5ae0bc78a11accebda0d0390e58e2592888ddd90b6fcf0af9228d88df1f4f454",
+    ("fat:6", "1-t"):
+        "c9b406f3ef8c2aca021d9c836d2f56ac7722be0d5be2e3a02ad3cc020ae0f32e",
+    ("fat:7", "1-t"):
+        "efe9d750816312d54b3c898a3b2698592ef891f53da9038bec2b677e64dd7840",
+    ("fat:8", "1-t"):
+        "22311c16ff54fb06abdfb728a8e22a8c99d6da1c056c3ea8213c9e0dd3c64e4e",
+    ("thin:2", "1-t"):
+        "96a814fc5c9bc2ee70822b0f73c04bc2ea6356e685d86467d17f5a13f1d3cbe2",
+    ("thin:2", "1-s"):
+        "c08905969871d52450d991e83169be494df7c2a81c333613b34a776b38c765a4",
+    ("thin:3", "1-t"):
+        "94da7dd5a656f70dc7ec91e491f28fad93368e63e337d69e8208539515fba9e8",
+    ("thin:3", "1-s"):
+        "5cdf724758cbe1228effc71e407dba2f21784c803fbfc6176715e3875a16ba4f",
+    ("thin:4", "1-t"):
+        "192de13be4611a877baf438d8f7a65168adbed155c03f6fec55f0a0244e25b08",
+    ("thin:4", "1-s"):
+        "680b116dcebd78e045eb2508962c3f50e0b661192b14e7110a974bb950a2c94a",
+    ("thin:5", "1-t"):
+        "73000cb923c528b29f4ea48b0aaf40e18db350fd5290be23403fab71ca1b87e9",
+    ("thin:5", "1-s"):
+        "d143b677625781230a27e07764baec82b0859f746df430990384a63ceb599d6b",
+    ("bidisc", "1-t"):
+        "2f84f94d7bcac5c4bc58c2131ecc691322c3b78880b09966fbb710490cdd346c",
+    ("punctured-bidisc", "1-t"):
+        "2f84f94d7bcac5c4bc58c2131ecc691322c3b78880b09966fbb710490cdd346c",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_ARRAY), ids=str)
+def test_array_num_den_golden(key):
+    text, variant = key
+    spec = DomainSpec.parse(text)
+    z1, z2 = sample_uniform_arrays(spec, 2 * _GOLDEN_PAIRS, seed=19)
+    s, t = pair_invariants(z1[:_GOLDEN_PAIRS], z2[:_GOLDEN_PAIRS],
+                           z1[_GOLDEN_PAIRS:], z2[_GOLDEN_PAIRS:])
+    num, den = kernel_num_den(spec, s, t, variant)
+    digest = hashlib.sha256(num.tobytes() + den.tobytes()).hexdigest()
+    assert digest == GOLDEN_ARRAY[key]
 
 
 # sha256 of the stdout of `eval --spec SPEC --thin-variant V` at one
