@@ -18,7 +18,6 @@ import numpy as np
 
 from .domain import (
     BoundaryPath,
-    DomainKind,
     DomainSpec,
     PathKind,
     Point2C,
@@ -27,14 +26,13 @@ from .domain import (
     sample_uniform_arrays,
 )
 from .kernels import (
-    PI_SQ,
     SingularEvaluation,
     bergman_fat,
     bergman_reference,
-    fat_numerator,
+    fat_quadratic,
+    kernel_factors,
     kernel_num_den,
 )
-from .polynomials import lin_coeff, quad_coeff
 
 __all__ = [
     "ZeroWitness",
@@ -190,14 +188,10 @@ def zero_locus_scan(
         raise ValueError(f"zero scan needs k >= 2, got {k}")
     if s_points < 1:
         raise ValueError("s_points must be >= 1")
-    c2 = quad_coeff(k)
-    c1 = lin_coeff(k)
-    s_grid = np.linspace(-1.0, 1.0, s_points + 2)[1:-1]
+    s_grid = [float(s) for s in np.linspace(-1.0, 1.0, s_points + 2)[1:-1]]
+    quadratics = [fat_quadratic(k, s) for s in s_grid]
     rows = []
-    for s in map(float, s_grid):
-        a = float(c2(s))
-        b = float(c1(s))
-        c = s**k * a
+    for s, (a, b, c) in zip(s_grid, quadratics):
         roots = stable_quadratic_roots(a, b, c)
         realizable = tuple(realizable_args(k, s, r) for r in roots)
         residuals = tuple(
@@ -212,12 +206,9 @@ def zero_locus_scan(
             raise ValueError("t_abs must lie in (0, 1)")
         theta = np.linspace(0.0, 2.0 * np.pi, t_points, endpoint=False)
         t_circle = t_abs * np.exp(1j * theta)
-        for s in map(float, s_grid):
-            num = fat_numerator(k, s, t_circle)
-            scale = np.maximum(
-                np.abs(float(c2(s)) * t_circle**2),
-                np.maximum(np.abs(float(c1(s)) * t_circle), abs(s**k * float(c2(s)))),
-            )
+        for s, (a, b, c) in zip(s_grid, quadratics):
+            num = kernel_factors(DomainSpec.fat(k), s, t_circle)[0]
+            scale = np.maximum(np.abs(a * t_circle**2), np.maximum(np.abs(b * t_circle), abs(c)))
             small = np.abs(num) < tol * np.maximum(scale, 1e-300)
             for idx in np.nonzero(small)[0]:
                 t_val = complex(t_circle[idx])
@@ -242,21 +233,17 @@ class AsymptoticReport:
 def _diagonal_comparison_ratio(spec: DomainSpec, p: Point2C) -> float:
     """B(z,z) times the boundary comparison quantity, in cancelled form.
 
-    On the diagonal t - s^k = (r2 - r1^k)(r2 + r1^k) and
-    1 - t = (1 - r2)(1 + r2) exactly, so the product of B(z,z) with
-    (1-r2)^2 (r2 - r1^k)^2 (fat; analogously thin) can be evaluated without
-    the near-boundary cancellations of the raw quotient.
+    On the diagonal 1 - t = (1 - r2)(1 + r2) and t - s^k = (r2 - r1^k)(r2 + r1^k)
+    (thin: (r2^k - r1)(r2^k + r1)).  Up to sign the halves 1 + r2 and r2 + r1^k
+    (r2^k + r1) are the top and curve factors at ((-1)^(k+1) r1, -r2), so B(z,z)
+    times the squared boundary halves avoids the raw quotient's cancellations.
     """
+    if not spec.is_triangle:
+        raise ValueError(f"diagonal asymptotics require a Hartogs triangle, got {spec}")
     r1, r2 = abs(p.z1), abs(p.z2)
-    s, t = r1 * r1, r2 * r2
-    if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
-        k = spec.k if spec.kind is DomainKind.FAT else 1
-        num = fat_numerator(k, s, t).real
-        return num / (k * PI_SQ * (1.0 + r2) ** 2 * (r2 + r1**k) ** 2)
-    if spec.kind is DomainKind.THIN:
-        k = spec.k
-        return t**k / (PI_SQ * (1.0 + r2) ** 2 * (r2**k + r1) ** 2)
-    raise ValueError(f"diagonal asymptotics require a Hartogs triangle, got {spec}")
+    num, const, _, _ = kernel_factors(spec, r1 * r1, r2 * r2)
+    _, _, top, curve = kernel_factors(spec, r1 if (spec.k or 1) % 2 else -r1, -r2)
+    return num / (const * top**2 * curve**2)
 
 
 def diagonal_ratio(spec: DomainSpec, path: BoundaryPath) -> AsymptoticReport:
@@ -335,17 +322,16 @@ def ramadanov_table(points, k_max: int) -> RamadanovTable:
         if k0 is None:
             raise ValueError(f"point ({p.z1}, {p.z2}) enters no fat triangle by k={k_max}")
         starts.append(k0)
+    exact = [bergman_reference(reference, p, p).value for p in pts]
     rows = []
     maxima = []
     for k in range(1, k_max + 1):
         row = []
-        for p, k0 in zip(pts, starts):
+        for p, k0, e in zip(pts, starts, exact):
             if k < k0:
                 row.append(math.nan)
                 continue
-            approx = bergman_fat(k, p, p, check=False).value
-            exact = bergman_reference(reference, p, p).value
-            row.append(abs(approx - exact))
+            row.append(abs(bergman_fat(k, p, p, check=False).value - e))
         rows.append(tuple(row))
         finite = [e for e in row if not math.isnan(e)]
         maxima.append(max(finite) if finite else math.nan)

@@ -17,11 +17,13 @@ through the shear biholomorphism (see the oracle and transforms modules,
 and the resolution acceptance test).  The "1-s" form is retained solely so
 the resolution test can demonstrate its failure.
 
-``kernel_num_den`` is the only place these forms are written, for scalars
-and arrays alike.  ``kernel`` is the one scalar entry point over it, and
-``bergman_fat``, ``bergman_thin`` and ``bergman_reference`` wrap ``kernel``.
-Since fat(1) and thin(1) are the classical triangle, every gamma = 1 entry
-point returns the classical kernel, whichever thin variant is asked for.
+``kernel_factors`` is the only place these forms are written, for scalars
+and arrays alike; ``fat_quadratic`` gives the fat numerator's coefficients
+in t.  ``kernel_num_den`` multiplies the factors out, ``kernel`` is the one
+scalar entry point over it, and ``bergman_fat``, ``bergman_thin`` and
+``bergman_reference`` wrap ``kernel``.  Since fat(1) and thin(1) are the
+classical triangle, every gamma = 1 entry point returns the classical
+kernel, whichever thin variant is asked for.
 
 Numerator and denominator are returned separately: the numerator's zeros
 are what the Lu Qi-Keng analysis scans for, and a flag on the denominator
@@ -56,8 +58,9 @@ __all__ = [
     "bergman_reference",
     "kernel",
     "diagonal",
+    "kernel_factors",
     "kernel_num_den",
-    "fat_numerator",
+    "fat_quadratic",
 ]
 
 PI_SQ = math.pi**2
@@ -111,44 +114,50 @@ class KernelValue:
     near_singular: bool
 
 
-def _fat_numerator(k: int, s, t, sk):
-    # sk is s**k, which the fat denominator needs too.  quad_coeff(1) is zero,
-    # so the classical numerator is lin_coeff(1)(s) t.
-    if k == 1:
-        return lin_coeff(1)(s) * t
-    c2v = quad_coeff(k)(s)
-    return (c2v * t + lin_coeff(k)(s)) * t + sk * c2v
+def _fat_quadratic(k: int, s, sk):
+    a = quad_coeff(k)(s)
+    return a, lin_coeff(k)(s), sk * a
 
 
-def fat_numerator(k: int, s, t):
-    """Numerator quad(s) t^2 + lin(s) t + s^k quad(s); accepts arrays."""
-    return _fat_numerator(k, s, t, s**k)
+def fat_quadratic(k: int, s):
+    """(quad(s), lin(s), s^k quad(s)): the fat numerator's coefficients in t,
+    so the numerator is (a t + b) t + c.  Accepts arrays."""
+    return _fat_quadratic(k, s, ipow(s, k))
 
 
-def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
-    """(numerator, denominator) of the domain's kernel; scalar or array args.
+def kernel_factors(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
+    """(num, const, top, curve) with kernel = num / (const top^2 curve^2).
 
-    The only place the closed forms are written; ``kernel`` evaluates them
-    here too.  s^k and t^k are taken by binary powering (``ipow``): on
-    complex Python scalars these are the products of Python's ``**`` for
-    k <= 100, and on arrays they are faster than numpy's power.
+    The only place the closed forms are written, for scalars and arrays
+    alike.  top is 1 - t (1 - s for the thin "1-s" variant and the bidiscs)
+    and curve is t - s^k (thin: t^k - s; bidiscs: 1 - t).  s^k and t^k are
+    taken by binary powering (``ipow``): on complex Python scalars these are
+    the products of Python's ``**`` for k <= 100, and on arrays they are
+    faster than numpy's power.
     """
     if thin_variant not in ("1-t", "1-s"):
         raise ValueError(f"unknown thin variant {thin_variant!r}")
     if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
         k = spec.k if spec.kind is DomainKind.FAT else 1
         sk = ipow(s, k)
-        num = _fat_numerator(k, s, t, sk)
-        den = (k * PI_SQ) * (1.0 - t) ** 2 * (t - sk) ** 2
-        return num, den
+        if k == 1:
+            # quad_coeff(1) is zero: the classical numerator is lin_coeff(1)(s) t.
+            num = lin_coeff(1)(s) * t
+        else:
+            a, b, c = _fat_quadratic(k, s, sk)
+            num = (a * t + b) * t + c
+        return num, k * PI_SQ, 1.0 - t, t - sk
     if spec.kind is DomainKind.THIN:
-        k = spec.k
-        tk = ipow(t, k)
-        mid = (1.0 - t) if thin_variant == "1-t" else (1.0 - s)
-        return tk, PI_SQ * mid**2 * (tk - s) ** 2
+        tk = ipow(t, spec.k)
+        return tk, PI_SQ, (1.0 - t) if thin_variant == "1-t" else (1.0 - s), tk - s
     # Bidisc and punctured bidisc share one kernel.
-    one = 1.0 + 0.0 * t
-    return one, PI_SQ * (1.0 - s) ** 2 * (1.0 - t) ** 2
+    return 1.0 + 0.0 * t, PI_SQ, 1.0 - s, 1.0 - t
+
+
+def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
+    """(num, const * top^2 * curve^2) from ``kernel_factors``; scalar or array args."""
+    num, const, top, curve = kernel_factors(spec, s, t, thin_variant)
+    return num, const * top**2 * curve**2
 
 
 def kernel(

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hartogs_bergman import (
+    DomainKind,
     DomainSpec,
     PathKind,
     Point2C,
@@ -21,6 +23,7 @@ from hartogs_bergman import (
 )
 from hartogs_bergman.analysis import realizable_args
 from hartogs_bergman.domain import contains, sample_uniform_arrays
+from hartogs_bergman.polynomials import lin_coeff, quad_coeff
 
 FATS = [DomainSpec.fat(k) for k in range(1, 6)]
 THINS = [DomainSpec.thin(k) for k in range(2, 6)]
@@ -149,6 +152,22 @@ class TestZeroScan:
             zero_locus_scan(1)
 
 
+def _mp_diagonal_ratio(spec, p):
+    # B(z,z) (1-r2)^2 (r2 - r1^k)^2 (thin: (r2^k - r1)^2) straight from the
+    # closed form, at the exact moduli of the point's doubles.
+    with mpmath.workdps(60):
+        r1, r2 = (mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2) for z in (p.z1, p.z2))
+        s, t = r1 * r1, r2 * r2
+        if spec.kind is DomainKind.THIN:
+            k = spec.k
+            kernel = t**k / (mpmath.pi**2 * (1 - t) ** 2 * (t**k - s) ** 2)
+            return kernel * (1 - r2) ** 2 * (r2**k - r1) ** 2
+        k = spec.k or 1
+        quad, lin = (sum(c * s**i for i, c in enumerate(f(k).coeffs)) for f in (quad_coeff, lin_coeff))
+        kernel = (quad * t * t + lin * t + s**k * quad) / (k * mpmath.pi**2 * (1 - t) ** 2 * (t - s**k) ** 2)
+        return kernel * (1 - r2) ** 2 * (r2 - r1**k) ** 2
+
+
 class TestDiagonalRatios:
     @pytest.mark.parametrize("spec", FATS + THINS)
     @pytest.mark.parametrize("kind", list(PathKind))
@@ -157,6 +176,18 @@ class TestDiagonalRatios:
         assert all(r > 0.0 and math.isfinite(r) for r in rep.ratios)
         assert rep.tail_quotient(10) <= 10.0
         assert rep.min_ratio <= rep.max_ratio
+
+    @pytest.mark.parametrize("spec", [DomainSpec.fat(k) for k in range(1, 9)]
+                             + [DomainSpec.thin(k) for k in range(2, 7)], ids=str)
+    @pytest.mark.parametrize("kind", list(PathKind), ids=lambda kind: kind.value)
+    def test_matches_the_uncancelled_quotient_in_60_digits(self, spec, kind):
+        # 45 halving steps, the deepest every path resolves.  The bound of 16 eps
+        # was fixed before the first run.
+        path = boundary_paths(spec, kind, 45)
+        rep = diagonal_ratio(spec, path)
+        worst = max(abs(got - want) / want
+                    for got, want in zip(rep.ratios, map(_mp_diagonal_ratio, [spec] * 45, path.samples)))
+        assert worst <= 16 * 2.0**-52
 
     def test_fat2_origin_limit_value(self):
         # At (0, eps): ratio = 1/(2 pi^2 (1 + eps)^2) -> 1/(2 pi^2).

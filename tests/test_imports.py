@@ -82,6 +82,19 @@ def test_only_kernels_reads_the_near_singular_threshold():
     assert found == {"kernels"}
 
 
+def test_only_the_formula_modules_name_the_kernel_constants():
+    # kernels writes the closed forms, polynomials their coefficients and oracle
+    # the basis norms; every other module asks kernels.kernel_factors or
+    # kernels.fat_quadratic.  The package's export list re-exports the
+    # coefficient polynomials.
+    names = {"PI_SQ", "quad_coeff", "lin_coeff"}
+    found = {
+        path.stem
+        for path in PACKAGE_DIR.glob("*.py")
+        if path.stem != "__init__" and names & set(names_used(path))
+    }
+    assert found == {"kernels", "oracle", "polynomials"}
+
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -204,19 +204,20 @@ class TestSeries:
         with pytest.raises(NonconvergentTruncation):
             kernel_series(spec, z, z, a_max=4, b_max=4, tol=1e-10)
 
-    def test_auto_truncation_raises_at_max_rect(self):
+    def test_auto_truncation_raises_at_the_row_cap(self, monkeypatch):
         # rho = |s|/|t| = 0.998 on the classical diagonal: the rows beyond 64
         # still carry ~0.998^65 of the mass; the tolerance needs ~10^4 rows.
+        monkeypatch.setattr(oracle, "_MAX_ROWS", 64)
         z = Point2C(0.4995, 0.5)
         with pytest.raises(NonconvergentTruncation, match=r"at row 64$"):
-            kernel_series(DomainSpec.fat(1), z, z, tol=1e-8, max_rect=64)
+            kernel_series(DomainSpec.fat(1), z, z, tol=1e-8)
 
     def test_rejects_half_specified_rectangle(self):
         with pytest.raises(ValueError):
             kernel_series(DomainSpec.fat(2), Point2C(0.1, 0.5), Point2C(0.1, 0.5), a_max=10)
 
     @pytest.mark.parametrize(
-        "bounds", [dict(a_max=-1, b_max=5), dict(a_max=5, b_max=-3), dict(max_rect=-1)], ids=repr
+        "bounds", [dict(a_max=-1, b_max=5), dict(a_max=5, b_max=-3)], ids=repr
     )
     def test_negative_bound_raises(self, bounds):
         # b_max = -3 once certified 1.66e-7 with a negative tail bound; the
@@ -380,7 +381,7 @@ class TestSeriesRowSumsOnArrays:
         expected = None
         for z1, z2, w1, w2 in pairs.tolist():
             try:
-                kernel_series(spec, Point2C(z1, z2), Point2C(w1, w2), tol=1e-10, max_rect=cap)
+                kernel_series(spec, Point2C(z1, z2), Point2C(w1, w2), tol=1e-10)
             except NonconvergentTruncation as exc:
                 expected = str(exc)
                 break
