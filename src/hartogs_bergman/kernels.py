@@ -125,28 +125,29 @@ def fat_quadratic(k: int, s):
     return _fat_quadratic(k, s, ipow(s, k))
 
 
+def _fat_numerator(k: int, s, t, sk):
+    # quad_coeff(1) is zero: the classical numerator is lin_coeff(1)(s) t.
+    if k == 1:
+        return lin_coeff(1)(s) * t
+    a, b, c = _fat_quadratic(k, s, sk)
+    return (a * t + b) * t + c
+
+
 def kernel_factors(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
     """(num, const, top, curve) with kernel = num / (const top^2 curve^2).
 
     The only place the closed forms are written, for scalars and arrays
-    alike.  top is 1 - t (1 - s for the thin "1-s" variant and the bidiscs)
-    and curve is t - s^k (thin: t^k - s; bidiscs: 1 - t).  s^k and t^k are
-    taken by binary powering (``ipow``): on complex Python scalars these are
-    the products of Python's ``**`` for k <= 100, and on arrays they are
-    faster than numpy's power.
+    alike.  top is 1 - t (1 - s for the thin "1-s" variant and the bidiscs),
+    curve is t - s^k (thin: t^k - s; bidiscs: 1 - t).  s^k and t^k are taken
+    by ``ipow``: the products of Python's ``**`` on complex scalars for
+    k <= 100, and faster than numpy's power on arrays.
     """
     if thin_variant not in ("1-t", "1-s"):
         raise ValueError(f"unknown thin variant {thin_variant!r}")
     if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
         k = spec.k if spec.kind is DomainKind.FAT else 1
         sk = ipow(s, k)
-        if k == 1:
-            # quad_coeff(1) is zero: the classical numerator is lin_coeff(1)(s) t.
-            num = lin_coeff(1)(s) * t
-        else:
-            a, b, c = _fat_quadratic(k, s, sk)
-            num = (a * t + b) * t + c
-        return num, k * PI_SQ, 1.0 - t, t - sk
+        return _fat_numerator(k, s, t, sk), k * PI_SQ, 1.0 - t, t - sk
     if spec.kind is DomainKind.THIN:
         tk = ipow(t, spec.k)
         return tk, PI_SQ, (1.0 - t) if thin_variant == "1-t" else (1.0 - s), tk - s
@@ -157,7 +158,10 @@ def kernel_factors(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
 def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
     """(num, const * top^2 * curve^2) from ``kernel_factors``; scalar or array args."""
     num, const, top, curve = kernel_factors(spec, s, t, thin_variant)
-    return num, const * top**2 * curve**2
+    # The factors are this call's own: squaring them in place saves two array temporaries.
+    top **= 2
+    curve **= 2
+    return num, const * top * curve
 
 
 def kernel(

@@ -298,6 +298,40 @@ def test_array_num_den_golden(key):
     assert digest == GOLDEN_ARRAY[key]
 
 
+# The same on one (points, samples) block as the reproducing integrator
+# evaluates: 24 points by 4096 samples, past numpy's 256 KiB threshold for
+# reusing temporaries in place.  Recorded before the kernel forms were factored.
+GOLDEN_BLOCK = {
+    ("fat:1", "1-t"):
+        "d3ccab36defc2e9eb83747fe65a4f289db184a18704750a3947cedded6840b30",
+    ("fat:2", "1-t"):
+        "45645f79cd0a52b35bba979a337e235b81cd091f1bbc31718987139e5d83148c",
+    ("fat:3", "1-t"):
+        "dc580fced5b5a1d966b01709a2e370688bd4a41b4d6ccd0c8511848bc11ae275",
+    ("fat:8", "1-t"):
+        "a4f71f91cb52eadf48bde3acb60910bc6b71166b629aceef916327a64d90cf0d",
+    ("thin:3", "1-t"):
+        "3a5d5dcf06731939b2c41f15cb94974b1aebaf8a3ec4b771da6d6fbe4a8af3af",
+    ("thin:3", "1-s"):
+        "61d5ace81a0376b75c10638d9d0c63f8b2c3035ac17df45963dc861d3f73c084",
+    ("thin:4", "1-t"):
+        "1c98d508e14d8076d6669f84b994a01a10f0344e9e940320e06d64d5c36c8ea0",
+    ("bidisc", "1-t"):
+        "cf9f6d7ef4d7aba58d3d1504a4c72e7759cd0fbb91cbdcf85fbad989dba49a1c",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_BLOCK), ids=str)
+def test_block_num_den_golden(key):
+    text, variant = key
+    spec = DomainSpec.parse(text)
+    z1, z2 = sample_uniform_arrays(spec, 24 + 4096, seed=23)
+    s = z1[:24, None] * np.conj(z1[24:])
+    t = z2[:24, None] * np.conj(z2[24:])
+    num, den = kernel_num_den(spec, s, t, variant)
+    assert hashlib.sha256(num.tobytes() + den.tobytes()).hexdigest() == GOLDEN_BLOCK[key]
+
+
 # sha256 of the stdout of `eval --spec SPEC --thin-variant V` at one
 # off-axis pair with nonzero imaginary parts.
 _EVAL_POINTS = ["--z", "0.05,0.02", "0.6,-0.1", "--w", "0.04,-0.01", "0.5,0.2"]
