@@ -184,9 +184,8 @@ class TestDiagonalRatios:
         # 45 halving steps, the deepest every path resolves.  The bound of 16 eps
         # was fixed before the first run.
         path = boundary_paths(spec, kind, 45)
-        rep = diagonal_ratio(spec, path)
-        worst = max(abs(got - want) / want
-                    for got, want in zip(rep.ratios, map(_mp_diagonal_ratio, [spec] * 45, path.samples)))
+        wants = [_mp_diagonal_ratio(spec, p) for p in path.samples]
+        worst = max(abs(got - want) / want for got, want in zip(diagonal_ratio(spec, path).ratios, wants))
         assert worst <= 16 * 2.0**-52
 
     def test_fat2_origin_limit_value(self):
