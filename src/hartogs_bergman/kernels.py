@@ -158,10 +158,15 @@ def kernel_factors(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
 def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
     """(num, const * top^2 * curve^2) from ``kernel_factors``; scalar or array args."""
     num, const, top, curve = kernel_factors(spec, s, t, thin_variant)
-    # The factors are this call's own: squaring them in place saves two array temporaries.
+    # The factors are this call's own: squared and multiplied in place, top becomes den.
     top **= 2
     curve **= 2
-    return num, const * top * curve
+    top *= const
+    if np.iscomplexobj(top) or not np.iscomplexobj(curve):
+        top *= curve
+    else:  # a real top array cannot hold the complex product (s and t of mixed dtypes)
+        top = top * curve
+    return num, top
 
 
 def kernel(

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,37 @@ def test_block_num_den_golden(key):
     t = z2[:24, None] * np.conj(z2[24:])
     num, den = kernel_num_den(spec, s, t, variant)
     assert hashlib.sha256(num.tobytes() + den.tobytes()).hexdigest() == GOLDEN_BLOCK[key]
+
+
+@pytest.mark.parametrize("text,arrays", [("classical", 3), ("bidisc", 3), ("thin:3", 3), ("fat:3", 5)])
+def test_block_num_den_peak_memory(text, arrays):
+    # On a block the size of GOLDEN_BLOCK's, the factors are multiplied into top
+    # in place: the peak holds num, den and one temporary of kernel_factors, and
+    # two more for the fat numerator.  Out of place it held one block more.
+    spec = DomainSpec.parse(text)
+    z1, z2 = sample_uniform_arrays(spec, 24 + 4096, seed=23)
+    s = z1[:24, None] * np.conj(z1[24:])
+    t = z2[:24, None] * np.conj(z2[24:])
+    tracemalloc.start()
+    try:
+        kernel_num_den(spec, s, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (arrays + 0.5) * s.nbytes
+
+
+@pytest.mark.parametrize("text,variant", [("classical", "1-t"), ("fat:3", "1-t"), ("thin:3", "1-t"),
+                                          ("thin:3", "1-s"), ("bidisc", "1-t")])
+def test_num_den_takes_a_real_array_with_a_complex_one(text, variant):
+    # A real top array cannot take the complex product in place; the values are
+    # those of the same pairs with both arrays complex.
+    spec = DomainSpec.parse(text)
+    real, cplx = np.array([0.1, -0.2, 0.05]), np.array([0.3 + 0.1j, 0.4j, -0.5 + 0.2j])
+    for s, t in ((real, cplx), (cplx * 0.1, real + 0.5)):
+        num, den = kernel_num_den(spec, s, t, variant)
+        want_num, want_den = kernel_num_den(spec, s + 0j, t + 0j, variant)
+        assert np.array_equal(num, want_num) and np.array_equal(den, want_den)
 
 
 # sha256 of the stdout of `eval --spec SPEC --thin-variant V` at one
