@@ -224,10 +224,7 @@ class AsymptoticReport:
     ratios: tuple[float, ...]
     min_ratio: float
     max_ratio: float
-
-    def tail_quotient(self, n: int = 10) -> float:
-        tail = self.ratios[-n:]
-        return max(tail) / min(tail)
+    tail_quotient: float  # max / min of the last 10 ratios
 
 
 def _diagonal_comparison_ratio(spec: DomainSpec, p: Point2C) -> float:
@@ -258,7 +255,8 @@ def diagonal_ratio(spec: DomainSpec, path: BoundaryPath) -> AsymptoticReport:
         if not (math.isfinite(r) and r > 0.0):
             raise SingularEvaluation(f"ratio became {r} at ({p.z1}, {p.z2})")
         ratios.append(r)
-    return AsymptoticReport(path, tuple(ratios), min(ratios), max(ratios))
+    tail = ratios[-10:]
+    return AsymptoticReport(path, tuple(ratios), min(ratios), max(ratios), max(tail) / min(tail))
 
 
 @dataclass(frozen=True)
@@ -304,7 +302,7 @@ def ramadanov_table(points, k_max: int) -> RamadanovTable:
 
     Each point must lie in the punctured bidisc; its row starts at the
     first k with |z1|^k < |z2|, after which membership holds for every
-    larger k.
+    larger k (each evaluation checks it).
     """
     pts = tuple(points)
     if not pts:
@@ -331,7 +329,7 @@ def ramadanov_table(points, k_max: int) -> RamadanovTable:
             if k < k0:
                 row.append(math.nan)
                 continue
-            row.append(abs(bergman_fat(k, p, p, check=False).value - e))
+            row.append(abs(bergman_fat(k, p, p).value - e))
         rows.append(tuple(row))
         finite = [e for e in row if not math.isnan(e)]
         maxima.append(max(finite) if finite else math.nan)

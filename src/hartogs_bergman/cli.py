@@ -355,11 +355,10 @@ def _cmd_asymptotics(args):
             raise DomainError("--compare delta applies to the origin path only")
         rep = delta_rate(args.spec, path)
         values = rep.values
-        quotient = rep.tail_quotient
     else:
         rep = diagonal_ratio(args.spec, path)
         values = rep.ratios
-        quotient = rep.tail_quotient(10)
+    quotient = rep.tail_quotient
     header = ["step", "eps", "z1_re", "z1_im", "z2_re", "z2_im", "ratio"]
     rows = [
         [i + 1, path.params[i], p.z1.real, p.z1.imag, p.z2.real, p.z2.imag, values[i]]

@@ -213,13 +213,13 @@ def require_inside(spec: DomainSpec, p: Point2C, name: str = "point") -> None:
         raise DomainError(f"{name} ({p.z1}, {p.z2}) is not inside {spec}")
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, float]:
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimum of f on [lo, hi] (assumes the bracket holds it).
 
-    The contraction continues past the absolute tolerance down to the
-    floating-point spacing around the minimizer: near the origin the
-    minimizer can sit at u ~ 1e-6 with curvature scale u^(2k), where an
-    absolutely-placed evaluation point would swamp the true minimum.
+    The contraction runs down to the floating-point spacing around the
+    minimizer, with no absolute tolerance: near the origin the minimizer can
+    sit at u ~ 1e-6 with curvature scale u^(2k), where an absolutely-placed
+    evaluation point would swamp the true minimum.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -227,7 +227,7 @@ def _golden_min(f, lo: float, hi: float, xtol: float = 1e-12) -> tuple[float, fl
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(300):
-        if b - a <= min(xtol, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        if b - a <= 4.0 * math.ulp(max(abs(a), abs(b))):
             break
         if fc <= fd:
             b, d, fd = d, c, fc

@@ -169,18 +169,11 @@ def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
     return num, top
 
 
-def kernel(
-    spec: DomainSpec,
-    z: Point2C,
-    w: Point2C,
-    *,
-    thin_variant: ThinVariant = THIN_VARIANT_DEFAULT,
-    check: bool = True,
-) -> KernelValue:
-    """The domain's kernel at one pair; every scalar entry point lands here."""
-    if check:
-        require_inside(spec, z, name="z")
-        require_inside(spec, w, name="w")
+def kernel(spec: DomainSpec, z: Point2C, w: Point2C, *,
+           thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> KernelValue:
+    """The kernel at one pair, both points checked; every scalar entry point lands here."""
+    require_inside(spec, z, name="z")
+    require_inside(spec, w, name="w")
     s = z.z1 * w.z1.conjugate()
     t = z.z2 * w.z2.conjugate()
     num, den = kernel_num_den(spec, s, t, thin_variant)
@@ -188,28 +181,22 @@ def kernel(
     return KernelValue(value, num, den, near_singular(den))
 
 
-def bergman_fat(k: int, z: Point2C, w: Point2C, *, check: bool = True) -> KernelValue:
+def bergman_fat(k: int, z: Point2C, w: Point2C) -> KernelValue:
     """Kernel of the fat triangle of exponent k (k = 1 gives the classical one)."""
-    return kernel(DomainSpec.fat(k), z, w, check=check)
+    return kernel(DomainSpec.fat(k), z, w)
 
 
-def bergman_thin(
-    k: int,
-    z: Point2C,
-    w: Point2C,
-    *,
-    variant: ThinVariant = THIN_VARIANT_DEFAULT,
-    check: bool = True,
-) -> KernelValue:
+def bergman_thin(k: int, z: Point2C, w: Point2C, *,
+                 variant: ThinVariant = THIN_VARIANT_DEFAULT) -> KernelValue:
     """Kernel of the thin triangle of exponent 1/k (k = 1: classical)."""
-    return kernel(DomainSpec.thin(k), z, w, thin_variant=variant, check=check)
+    return kernel(DomainSpec.thin(k), z, w, thin_variant=variant)
 
 
-def bergman_reference(spec: DomainSpec, z: Point2C, w: Point2C, *, check: bool = True) -> KernelValue:
+def bergman_reference(spec: DomainSpec, z: Point2C, w: Point2C) -> KernelValue:
     """Kernel of a reference domain: bidisc, punctured bidisc, or classical."""
     if spec.kind not in (DomainKind.CLASSICAL, DomainKind.BIDISC, DomainKind.PUNCTURED_BIDISC):
         raise ValueError(f"bergman_reference does not handle {spec}")
-    return kernel(spec, z, w, check=check)
+    return kernel(spec, z, w)
 
 
 def diagonal(spec: DomainSpec, z: Point2C) -> float:

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import DomainSpec, Point2C, ipow, require_inside, sample_chunks, volume
-from .kernels import PI_SQ, THIN_VARIANT_DEFAULT, ThinVariant, kernel_num_den, near_singular
+from .kernels import PI_SQ, kernel_num_den, near_singular
 
 __all__ = [
     "NonconvergentTruncation",
@@ -193,8 +193,6 @@ def kernel_series(
     a_max: int | None = None,
     b_max: int | None = None,
     tol: float | None = 1e-8,
-    *,
-    check: bool = True,
 ) -> tuple[complex, SeriesTruncation]:
     """Series sum over rows a = 0, 1, ..., each summed over b in closed form.
 
@@ -213,9 +211,8 @@ def kernel_series(
         raise ValueError("truncation bounds must be nonnegative")
     if a_max is None and tol is None:
         raise ValueError("auto truncation requires a tolerance")
-    if check:
-        require_inside(spec, z, name="z")
-        require_inside(spec, w, name="w")
+    require_inside(spec, z, name="z")
+    require_inside(spec, w, name="w")
     g = _require_triangle(spec)
     gf = float(g)
     s = z.z1 * w.z1.conjugate()
@@ -397,16 +394,16 @@ class McEstimate:
     seed: int
 
 
-def inner_product_mc(
-    spec: DomainSpec, f, g, n: int, seed: int, *, chunk: int = 1_000_000
-) -> McEstimate:
+# Samples per chunk of the Monte Carlo integrators (read at each call).
+_MC_CHUNK = 1_000_000
+
+
+def inner_product_mc(spec: DomainSpec, f, g, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of integral of f * conj(g) over the domain."""
-    return inner_products_mc(spec, ((f, g),), n, seed, chunk=chunk)[0]
+    return inner_products_mc(spec, ((f, g),), n, seed)[0]
 
 
-def inner_products_mc(
-    spec: DomainSpec, pairs, n: int, seed: int, *, chunk: int = 1_000_000
-) -> list[McEstimate]:
+def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEstimate]:
     """Estimates of integral of f * conj(g) for every (f, g) on one sample stream.
 
     Each distinct function is evaluated once per chunk.  Estimates for
@@ -426,7 +423,7 @@ def inner_products_mc(
     total = [0.0j] * len(pairs)
     sq_re = [0.0] * len(pairs)
     sq_im = [0.0] * len(pairs)
-    for z1, z2 in sample_chunks(spec, n, seed, chunk):
+    for z1, z2 in sample_chunks(spec, n, seed, _MC_CHUNK):
         memo = {}
         for i, (f, g) in enumerate(pairs):
             for h in (f, g):
@@ -480,36 +477,17 @@ class ReproducingReport:
     seed: int
 
 
-def reproducing_check(
-    spec: DomainSpec,
-    f: Monomial,
-    z: Point2C,
-    n: int,
-    seed: int,
-    *,
-    thin_variant: ThinVariant = THIN_VARIANT_DEFAULT,
-    chunk: int = 1_000_000,
-) -> ReproducingReport:
+def reproducing_check(spec: DomainSpec, f: Monomial, z: Point2C, n: int,
+                      seed: int) -> ReproducingReport:
     """Relative residual of f(z) = integral B(z, w) f(w) dV(w) under MC.
 
     Samples with a near-singular kernel evaluation are excluded and counted.
     """
-    reports = reproducing_residuals_batch(
-        spec, (f,), (z,), n, seed, thin_variant=thin_variant, chunk=chunk
-    )
-    return reports[0][0]
+    return reproducing_residuals_batch(spec, (f,), (z,), n, seed)[0][0]
 
 
-def reproducing_residuals_batch(
-    spec: DomainSpec,
-    fs,
-    zs,
-    n: int,
-    seed: int,
-    *,
-    thin_variant: ThinVariant = THIN_VARIANT_DEFAULT,
-    chunk: int = 1_000_000,
-) -> list[list[ReproducingReport]]:
+def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
+                                seed: int) -> list[list[ReproducingReport]]:
     """Reproducing residuals for every (f, z) combination on one sample stream.
 
     Returns reports[i][j] for fs[i] and zs[j].  Sharing the stream keeps a
@@ -549,7 +527,7 @@ def reproducing_residuals_batch(
         # threads share no cell and need no lock.
         for b in claims:
             block = slice(b * _EVAL_BLOCK, (b + 1) * _EVAL_BLOCK)
-            num, den = kernel_num_den(spec, z1s * w1c[block], z2s * w2c[block], thin_variant)
+            num, den = kernel_num_den(spec, z1s * w1c[block], z2s * w2c[block])
             flagged = near_singular(den)
             bad[:, b] = np.count_nonzero(flagged, axis=1)
             if bad[:, b].any():
@@ -563,7 +541,7 @@ def reproducing_residuals_batch(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        for w1, w2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, chunk)):
+        for w1, w2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, _MC_CHUNK)):
             fvals = np.empty((len(fs), len(w1)), dtype=np.complex128)
             for i, f in enumerate(fs):
                 fvals[i] = f(w1, w2)

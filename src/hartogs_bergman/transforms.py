@@ -20,7 +20,8 @@ that fixes this normalization.
     u(z) B_fat(phi(z), w) = sum_j B_classical(z, Phi_j(w)) conj(U_j(w)),
 
 and ``invariance_residuals`` checks the plain biholomorphic rule
-B_src(z, w) = det F'(z) B_dst(F z, F w) conj(det F'(w)).  Rules, maps and roots
+B_src(z, w) = det F'(z) B_dst(F z, F w) conj(det F'(w)), whose two sides
+``invariance_sides`` returns.  Rules, maps and roots
 run on arrays; their one-point forms (``bell_residual``, ``ProperMap.image`` ...) wrap them.
 """
 
@@ -47,6 +48,7 @@ __all__ = [
     "apply",
     "branch_inverses",
     "covering_residuals",
+    "invariance_sides",
     "invariance_residuals",
     "bell_residual",
     "biholo_residual",
@@ -225,9 +227,10 @@ def covering_residuals(k: int, z1, z2, w1, w2) -> np.ndarray:
     return _relative_residuals(u * (num_t / den_t), rhs)
 
 
-def invariance_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1, w2, *,
-                         thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> np.ndarray:
-    """Relative residuals of the biholomorphic rule for m at the pairs (z, w)."""
+def invariance_sides(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1, w2, *,
+                     thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
+    """Both sides of the biholomorphic rule for m at the pairs (z, w): B_src(z, w) and the
+    pullback det F'(z) B_dst(F z, F w) conj(det F'(w)), after every check has passed."""
     if m.order != 1:
         raise ValueError(f"{m.kind.value} has order {m.order}, not a biholomorphism")
     (fz1, fz2, jz), (fw1, fw2, jw) = m.evaluate(z1, z2), m.evaluate(w1, w2)
@@ -241,7 +244,14 @@ def invariance_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2,
     checks = [_inside(src, "z", z1, z2), _inside(src, "w", w1, w2), defined(z1, z2), defined(w1, w2),
               _inside(dst, "F(z)", fz1, fz2), _inside(dst, "F(w)", fw1, fw2)]
     _raise_first_fault(checks, near_singular(den_s) | near_singular(den_d), "invariance rule")
-    return _relative_residuals(num_s / den_s, jz * (num_d / den_d) * jw.conjugate())
+    return num_s / den_s, jz * (num_d / den_d) * jw.conjugate()
+
+
+def invariance_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1, w2, *,
+                         thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> np.ndarray:
+    """Relative residuals of the biholomorphic rule for m at the pairs (z, w)."""
+    return _relative_residuals(*invariance_sides(m, src, dst, z1, z2, w1, w2,
+                                                 thin_variant=thin_variant))
 
 
 def bell_residual(k: int, z: Point2C, w: Point2C) -> float:

@@ -8,9 +8,12 @@ samples per domain and dominates the runtime).
 import numpy as np
 import pytest
 
-from hartogs_bergman import acceptance, domain
-from hartogs_bergman.acceptance import ALL_CRITERIA, criterion_8_basis_norms, series_deviations
+from hartogs_bergman import acceptance, domain, kernels
+from hartogs_bergman.acceptance import (ALL_CRITERIA, criterion_3_thin_resolution,
+                                        criterion_8_basis_norms, series_deviations)
 from hartogs_bergman.domain import DomainSpec, Point2C
+from hartogs_bergman.kernels import SingularEvaluation, bergman_reference, bergman_thin
+from hartogs_bergman.transforms import invariance_sides
 
 
 @pytest.mark.parametrize(
@@ -38,6 +41,40 @@ def test_basis_norms_draw_one_stream_per_domain(monkeypatch):
     monkeypatch.setattr(domain, "_fill_uniform", counting)
     assert criterion_8_basis_norms().passed
     assert drawn == [(text, 200_000) for text in ("classical", "fat:2", "fat:3", "thin:2", "thin:3")]
+
+
+def test_criterion_3_sides_match_the_scalar_kernels(monkeypatch):
+    # On criterion 3's 75 pairs and for both variants, the array rule's two sides
+    # agree with the one-pair kernels it replaced: bergman_thin, and the punctured
+    # bidisc kernel pulled back through the map's images and Jacobians.
+    calls = []
+
+    def recording(m, src, dst, *columns, thin_variant):
+        sides = invariance_sides(m, src, dst, *columns, thin_variant=thin_variant)
+        calls.append((m, src, dst, columns, thin_variant, sides))
+        return sides
+
+    monkeypatch.setattr(acceptance, "invariance_sides", recording)
+    assert criterion_3_thin_resolution().passed
+    assert [(src.k, variant) for _, src, _, _, variant, _ in calls] == [
+        (k, v) for k in (2, 3, 4) for v in ("1-t", "1-s")]
+    bound = 16.0 * np.finfo(float).eps
+    for m, src, dst, (z1, z2, w1, w2), variant, (value, pull) in calls:
+        assert len(z1) == 25
+        for i in range(25):
+            z, w = Point2C(z1[i], z2[i]), Point2C(w1[i], w2[i])
+            want = bergman_thin(src.k, z, w, variant=variant).value
+            assert abs(value[i] - want) <= bound * abs(want)
+            want = (m.jacobian(z) * bergman_reference(dst, m.image(z), m.image(w)).value
+                    * m.jacobian(w).conjugate())
+            assert abs(pull[i] - want) <= bound * abs(want)
+
+
+def test_criterion_3_raises_on_a_near_singular_evaluation(monkeypatch):
+    # Like criteria 4 and 5, criterion 3 reads the invariance rule's flags.
+    monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", 1e300)
+    with pytest.raises(SingularEvaluation, match="invariance rule"):
+        criterion_3_thin_resolution()
 
 
 def test_pair_filter_builds_points_only_for_kept_pairs(monkeypatch):

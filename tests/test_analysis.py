@@ -174,7 +174,8 @@ class TestDiagonalRatios:
     def test_bounded_on_tails(self, spec, kind):
         rep = diagonal_ratio(spec, boundary_paths(spec, kind))
         assert all(r > 0.0 and math.isfinite(r) for r in rep.ratios)
-        assert rep.tail_quotient(10) <= 10.0
+        assert rep.tail_quotient == max(rep.ratios[-10:]) / min(rep.ratios[-10:])
+        assert rep.tail_quotient <= 10.0
         assert rep.min_ratio <= rep.max_ratio
 
     @pytest.mark.parametrize("spec", [DomainSpec.fat(k) for k in range(1, 9)]

@@ -39,6 +39,12 @@ from hartogs_bergman.oracle import (
 PI_SQ = math.pi**2
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 10^4 samples, so that a 25,000- or 30,001-sample stream spans several."""
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 10_000)
+
+
 def quadrature_norm_sq(spec, a, b):
     """Independent oracle: 2D quadrature of |z1^a z2^b|^2 in the moduli."""
     g = float(spec.gamma)
@@ -513,16 +519,16 @@ class TestInnerProductsBatch:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INNER_PRODUCT_REPORT
 
+    @pytest.mark.usefixtures("small_chunks")  # the shared stream spans several chunks
     @pytest.mark.parametrize("text", ["fat:2", "thin:3", "classical"])
     def test_batch_matches_single_calls(self, text):
         spec = DomainSpec.parse(text)
         one, z1, z2, z2inv = (parse_function(t) for t in ("one", "z1", "z2", "z2inv"))
         pairs = [(one, one), (z1, z2), (z2inv, z2inv), (z1, z1), (z2, z1), (z2inv, one)]
-        # chunk < n: the shared stream spans several chunks.
-        batch = inner_products_mc(spec, pairs, 25_000, seed=12, chunk=10_000)
+        batch = inner_products_mc(spec, pairs, 25_000, seed=12)
         assert len(batch) == len(pairs)
         for (f, g), est in zip(pairs, batch):
-            single = inner_product_mc(spec, f, g, 25_000, seed=12, chunk=10_000)
+            single = inner_product_mc(spec, f, g, 25_000, seed=12)
             assert repr(est) == repr(single)
 
     def test_constant_pair_is_exact_volume(self):
@@ -558,13 +564,6 @@ class TestReproducing:
     def test_thin2_uses_resolved_variant(self):
         rep = reproducing_check(DomainSpec.thin(2), Monomial(0, 0), Point2C(0.05, 0.6), 500_000, seed=34)
         assert rep.residual <= 0.05
-
-    def test_unknown_thin_variant_raises(self):
-        with pytest.raises(ValueError, match="unknown thin variant"):
-            reproducing_check(
-                DomainSpec.thin(2), Monomial(0, 0), Point2C(0.05, 0.6), 10_000, seed=1,
-                thin_variant="1-x",
-            )
 
     def test_rejects_inadmissible_function(self):
         with pytest.raises(ValueError):
@@ -703,21 +702,18 @@ class TestHandOff:
                     (want.estimate, want.residual, want.excluded)
                 )
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_concurrent_batches_under_short_switch_interval(self):
         # Three callers, each with its own helper: six threads on the
         # machine's cores, switching every microsecond.  A point claimed
         # twice or lost, or a buffer shared between threads, changes bits.
-        n, chunk = 30_001, 10_000
-        want = [
-            oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40, chunk=chunk)
-            for z in self.ZS
-        ]
+        n = 30_001
+        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
+                for z in self.ZS]
         results = {}
 
         def run(key):
-            results[key] = oracle.reproducing_residuals_batch(
-                self.SPEC, self.FS, self.ZS, n, seed=40, chunk=chunk
-            )
+            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed=40)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -736,6 +732,7 @@ class TestHandOff:
                 for i in range(len(self.FS)):
                     assert repr(batch[i][j]) == repr(want[j][i][0])
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_at_most_one_thread_besides_the_caller(self, monkeypatch):
         before = threading.active_count()
         threads = set()
@@ -746,13 +743,12 @@ class TestHandOff:
             counts.append(threading.active_count())
 
         self._patch_kernel(monkeypatch, on_call)
-        oracle.reproducing_residuals_batch(
-            self.SPEC, self.FS, self.ZS, 30_001, seed=38, chunk=10_000
-        )
+        oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, 30_001, seed=38)
         assert counts and max(counts) <= before + 1
         assert len(threads) <= 2
         assert threading.active_count() == before
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_helper_error_reaches_caller_and_helper_is_joined(self, monkeypatch):
         before = threading.active_count()
         helper_failed = threading.Event()
@@ -768,9 +764,7 @@ class TestHandOff:
 
         self._patch_kernel(monkeypatch, on_call)
         with pytest.raises(RuntimeError, match="helper evaluation failed"):
-            oracle.reproducing_residuals_batch(
-                self.SPEC, self.FS, self.ZS, 30_001, seed=39, chunk=10_000
-            )
+            oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, 30_001, seed=39)
         assert len(helpers) == 1
         helpers[0].join(timeout=30.0)
         assert not helpers[0].is_alive()
@@ -808,6 +802,7 @@ class TestDrawAhead:
             assert z1.tobytes() == e1.tobytes()
             assert z2.tobytes() == e2.tobytes()
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_caller_error_drains_claims_and_joins_helper(self, monkeypatch):
         # The helper's second draw waits until the caller has failed, so
         # every point the caller left unclaimed is still there to drain.
@@ -834,13 +829,14 @@ class TestDrawAhead:
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="caller evaluation failed"):
             oracle.reproducing_residuals_batch(
-                TestHandOff.SPEC, TestHandOff.FS, TestHandOff.ZS, 30_001, seed=46, chunk=10_000
+                TestHandOff.SPEC, TestHandOff.FS, TestHandOff.ZS, 30_001, seed=46
             )
         assert helper_kernel_calls == []
         helpers[0].join(timeout=30.0)
         assert not helpers[0].is_alive()
         assert threading.active_count() == before
 
+    @pytest.mark.usefixtures("small_chunks")
     @pytest.mark.parametrize("integrate", ["reproducing", "inner_products"])
     def test_helper_draw_error_reaches_caller(self, monkeypatch, integrate):
         calls = []
@@ -856,18 +852,18 @@ class TestDrawAhead:
         with pytest.raises(RuntimeError, match="second chunk failed"):
             if integrate == "reproducing":
                 oracle.reproducing_residuals_batch(
-                    self.SPEC, (Monomial(0, 0),), (Point2C(0.01, 0.5),), 30_001, seed=47,
-                    chunk=10_000,
+                    self.SPEC, (Monomial(0, 0),), (Point2C(0.01, 0.5),), 30_001, seed=47
                 )
             else:
                 one = Monomial(0, 0)
-                inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=47, chunk=10_000)
+                inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=47)
         assert len(calls) == 2
         if integrate == "reproducing":
             assert calls[1] is not threading.current_thread()
             calls[1].join(timeout=30.0)
         assert threading.active_count() == before
 
+    @pytest.mark.usefixtures("small_chunks")
     def test_inner_products_draw_every_chunk_on_the_caller(self, monkeypatch):
         threads = []
         counts = []
@@ -880,7 +876,7 @@ class TestDrawAhead:
         monkeypatch.setattr(domain, "_fill_uniform", recording)
         before = threading.active_count()
         one = Monomial(0, 0)
-        inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=48, chunk=10_000)
+        inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=48)
         assert threads == [threading.current_thread()] * 4
         assert counts == [before] * 4
         assert threading.active_count() == before
