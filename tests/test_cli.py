@@ -302,7 +302,7 @@ GOLDEN_PAIR_CHECKS = {
      "--seed", "13"):
         (0, "c2c8cc7a2b1b9d33eb6b5cef96607e7606aafcd3e3229a65caa345f85496eaed"),
     ("reproduce", "--only", "2", "3", "4", "5"):
-        (0, "e48561f1665f20e8afed0b0b140ddce62012db7ceb1555158879017528b2d02c"),
+        (0, "51120b1130a11d9f1a1c3469bc2cde2a2ece9d95a2a902bf78a5bbcd662da5d7"),
 }
 
 
