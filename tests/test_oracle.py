@@ -636,6 +636,100 @@ def test_reproducing_batch_golden(key, monkeypatch):
     assert got == GOLDEN_REPRODUCING[key]
 
 
+# The same for seven points (criterion 7's three and four more) on fat:3 and
+# thin:3 with criterion 7's functions, reproducing_residuals_batch(spec,
+# _GOLDEN_FS, _GOLDEN_ZS7, 2_500_001, seed=41): seven points do not split
+# evenly into groups of four, n crosses chunks and ends in a short block, and
+# the third case raises the threshold to 0.25 so that samples are excluded at
+# every point.
+_GOLDEN_ZS7 = (
+    Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75), Point2C(0.05, 0.6),
+    Point2C(0.1 + 0.05j, 0.7j), Point2C(-0.1 + 0.1j, 0.6 - 0.4j), Point2C(0.3j, -0.8),
+)
+GOLDEN_REPRODUCING_SEVEN = {
+    ('fat:3', None): (
+        "((0.9997040532308827-2.2725052398971985e-05j), 0.0002968179882646629, 0)",
+        "((0.9999298866458047-0.00018185941033713432j), 0.00019490697156510631, 0)",
+        "((0.9997667593536353-0.0007937857884571747j), 0.0008273433852235595, 0)",
+        "((0.9996870776735499-0.0004433700388557509j), 0.0005426761223288547, 0)",
+        "((1.0007746737294771+0.00015067311384245734j), 0.0007891905817842842, 0)",
+        "((0.9986734284700268+0.00023324799426441975j), 0.0013469211747402835, 0)",
+        "((0.9994324891210234-0.0001363235545531463j), 0.0005836546147189644, 0)",
+        "((0.10036010031700997-0.000665654673683711j), 0.0007568146291580541, 0)",
+        "((0.20012272523054941-0.0005605831715215845j), 0.0005738597166613129, 0)",
+        "((0.14988732046550232-0.00050542199014053j), 0.0005178301513162653, 0)",
+        "((0.050332474044534795-0.0006030652622472386j), 0.0006886411988972584, 0)",
+        "((0.10059285993409643+0.050296638393367635j), 0.0006629307941833362, 0)",
+        "((-0.09907553358879011+0.09888354867113089j), 0.001449517752629793, 0)",
+        "((-0.0006012041813864103+0.3020481733417533j), 0.0021345867294597157, 0)",
+        "((0.5002704748653403+0.0005263936756615388j), 0.0005918166562013099, 0)",
+        "((0.6003449431559377+0.0004746802362745303j), 0.000586776880541403, 0)",
+        "((0.7503338998566426+1.3536354447002951e-05j), 0.000334174127002133, 0)",
+        "((0.600289498541629+0.00025115360265566414j), 0.00038325909999930853, 0)",
+        "((0.0003061028294071083+0.7008383110776143j), 0.0008924485447475126, 0)",
+        "((0.599826218936859-0.3991741802150483j), 0.0008439064966713626, 0)",
+        "((-0.799128827696055-0.00010400799079627901j), 0.0008773590173414957, 0)",
+    ),
+    ('thin:3', None): (
+        "((1.0077075842214203+0.001951835706680963j), 0.00795088153327424, 0)",
+        "((1.0124165265361427+0.008609814585540183j), 0.015109567777408973, 0)",
+        "((1.000305710117019+0.0006221724028740534j), 0.0006932223124985393, 0)",
+        "((1.0009285081330974+0.001512596093414705j), 0.0017748448650632756, 0)",
+        "((1.0002438500879947+0.00042244656758477897j), 0.00048777450515495704, 0)",
+        "((0.9975001673850991+0.0012190101550122526j), 0.0027812135589604554, 0)",
+        "((1.0021997415057382-0.0032810900594558495j), 0.003950242355897595, 0)",
+        "((0.10271555979018406-0.000853653641644298j), 0.002846575049767178, 0)",
+        "((0.20456802664898557-0.003069157337274847j), 0.0055033257423843535, 0)",
+        "((0.15000156012234941-0.0006650160490665778j), 0.0006650178790813568, 0)",
+        "((0.050645625885056854-0.0010177202672588925j), 0.001205233307640041, 0)",
+        "((0.100007304554531+0.050442810098179115j), 0.00044287034170995405, 0)",
+        "((-0.09855023908563681+0.09958943162630574j), 0.00150677572926204, 0)",
+        "((0.00016393393305415727+0.3020805767121236j), 0.0020870251051287847, 0)",
+        "((0.4966259880119393-0.001410656884455653j), 0.0036570356494351323, 0)",
+        "((0.6014615179864198+0.0049441649859449125j), 0.005155657303668685, 0)",
+        "((0.7499108285458044+0.0002230166069754562j), 0.00024018317016437157, 0)",
+        "((0.6001755645590389+0.0006952194233030765j), 0.000717044601770616, 0)",
+        "((-0.0007962484525674707+0.6995076117457708j), 0.0009361932445381775, 0)",
+        "((0.5989722708362161-0.3984085270522937j), 0.001894469154505578, 0)",
+        "((-0.8010677829487439+0.002094012261568899j), 0.00235054201775443, 0)",
+    ),
+    ('fat:3', 0.25): (
+        "((0.99599317462798+0.00016118885751822067j), 0.004010066260007605, 28162)",
+        "((0.9975961727548245+2.8893140209147274e-05j), 0.0024040008814888683, 17281)",
+        "((0.9985409319440113-0.0006589190507429801j), 0.0016009540616266091, 9417)",
+        "((0.997371443856972-0.0002482012234840968j), 0.0026402483300609126, 17289)",
+        "((0.9992840326084083-4.827541237403991e-06j), 0.0007159836666971413, 11365)",
+        "((0.9971948991494489+0.0004188899347588966j), 0.002836205133484653, 10506)",
+        "((0.99819034158388-0.0002560223792189232j), 0.001827679140794394, 7997)",
+        "((0.10091407513976783-0.0005864676595808467j), 0.0010860376038037542, 28162)",
+        "((0.20087734259916573-0.0005080702977764986j), 0.0010138370006039243, 17281)",
+        "((0.1502340553994463-0.00047039706314799167j), 0.0005254096754231113, 9417)",
+        "((0.050538283157805675-0.0005523317414794319j), 0.0007712451689462616, 17289)",
+        "((0.10090915576897576+0.05037051216647259j), 0.000981755304424735, 11365)",
+        "((-0.09934192302917393+0.09914189323331331j), 0.001081393787001353, 10506)",
+        "((-0.0006177066538826035+0.3025799080282489j), 0.002652826218295139, 7997)",
+        "((0.5054069365000786+0.0005639815021275981j), 0.0054362705461211665, 28162)",
+        "((0.6042389293941812+0.000491727440137698j), 0.004267354951751513, 17281)",
+        "((0.7530583764836029+1.5759910048802808e-05j), 0.0030584170889889598, 9417)",
+        "((0.6041891747608034+0.00026894621157313824j), 0.004197799094915289, 17289)",
+        "((0.0003217321742242105+0.7038641485739501j), 0.0038775192834455117, 11365)",
+        "((0.6022440058994863-0.40076176347621323j), 0.002369777641598901, 10506)",
+        "((-0.801600782544973-0.00010894517799157232j), 0.0016044855275438856, 7997)",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_REPRODUCING_SEVEN), ids=str)
+def test_reproducing_batch_golden_seven_points(key, monkeypatch):
+    text, threshold = key
+    if threshold is not None:
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", threshold)
+    reports = oracle.reproducing_residuals_batch(
+        DomainSpec.parse(text), _GOLDEN_FS, _GOLDEN_ZS7, 2_500_001, seed=41
+    )
+    got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
+    assert got == GOLDEN_REPRODUCING_SEVEN[key]
+
 def test_reproducing_batch_memory_stays_bounded():
     # Criterion 7's functions and points on fat:2 over three chunks: two
     # chunks of samples (one drawn ahead), the chunk's function values and
