@@ -460,11 +460,13 @@ def _drawn_ahead(helper, chunks):
         yield ready
 
 
-# Samples per evaluation block in reproducing_residuals_batch: with three
-# points a block's (points, samples) temporaries are 192 KiB of complex128
-# and stay in the L2 cache.  A constant, so that no estimate depends on the
-# number of points.
+# Samples per evaluation block, and points per kernel tile within a block, in
+# reproducing_residuals_batch.  A tile's (points, samples) temporaries are at
+# most 256 KiB of complex128 whatever the number of points, and a block's
+# function values 64 KiB per function.  Constants, so that no estimate
+# depends on the number of points.
 _EVAL_BLOCK = 4_096
+_POINT_TILE = 4
 
 
 @dataclass(frozen=True)
@@ -495,19 +497,21 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     are correlated but individually unbiased.
 
     A helper thread draws chunk k + 1 (``_drawn_ahead``) and then helps
-    evaluate chunk k.  The chunk's function values are one (len(fs), m)
-    array F.  The caller and the helper claim the chunk's sample blocks of
-    _EVAL_BLOCK columns one at a time from one shared iterator, and the
-    caller waits for the helper's blocks before it moves to the next chunk.
-    A block is evaluated entirely by the thread that claimed it: one kernel
-    evaluation on (len(zs), width) arrays, one near-singular mask, and for
-    each point z_j the sums F[:, block] @ K[j] into that block's own slot.
-    The slots are added in block order after the join, so neither the
-    thread nor the timing changes a bit of any estimate, and no estimate
-    depends on the other points.  The last (or only) chunk has no draw
-    ahead of it, so the helper joins at once.  When sampling is the slower
-    half, the caller has claimed every block before the helper is free, and
-    the helper only draws.
+    evaluate chunk k.  The caller and the helper claim the chunk's sample
+    blocks of _EVAL_BLOCK samples one at a time from one shared iterator,
+    and the caller waits for the helper's blocks before it moves to the next
+    chunk.  A block is evaluated entirely by the thread that claimed it: its
+    own (len(fs), width) function values F and conjugated samples, then, for
+    each tile of at most _POINT_TILE points, one kernel evaluation on
+    (tile, width) arrays, one near-singular mask, and for each point z_j the
+    sums F @ K[j] into that block's own slot.  The chunk is only read, and
+    no array longer than a block is made from it.  The slots are added in
+    block order after the join, so neither the thread, the timing nor the
+    tiling changes a bit of any estimate, and no estimate depends on the
+    other points.  The last (or only) chunk has no draw ahead of it, so the
+    helper joins at once.  When sampling is the slower half, the caller has
+    claimed every block before the helper is free, and the helper only
+    draws.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -522,40 +526,39 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     acc = np.zeros((len(zs), len(fs)), dtype=np.complex128)
     excluded = np.zeros(len(zs), dtype=np.int64)
 
-    def evaluate(claims, w1c, w2c, fvals, partial, bad):
+    def evaluate(claims, w1, w2, partial, bad):
         # Each block b writes only partial[:, :, b] and bad[:, b], so the two
         # threads share no cell and need no lock.
         for b in claims:
             block = slice(b * _EVAL_BLOCK, (b + 1) * _EVAL_BLOCK)
-            num, den = kernel_num_den(spec, z1s * w1c[block], z2s * w2c[block])
-            flagged = near_singular(den)
-            bad[:, b] = np.count_nonzero(flagged, axis=1)
-            if bad[:, b].any():
-                num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
-            kvals = num / den
-            fblock = fvals[:, block]
-            for j in range(len(zs)):
-                partial[j, :, b] = fblock @ kvals[j]
+            v1, v2 = w1[block], w2[block]
+            fblock = np.empty((len(fs), len(v1)), dtype=np.complex128)
+            for i, f in enumerate(fs):
+                fblock[i] = f(v1, v2)
+            v1, v2 = np.conj(v1), np.conj(v2)
+            for t in range(0, len(zs), _POINT_TILE):
+                rows = slice(t, t + _POINT_TILE)
+                num, den = kernel_num_den(spec, z1s[rows] * v1, z2s[rows] * v2)
+                flagged = near_singular(den)
+                bad[rows, b] = np.count_nonzero(flagged, axis=1)
+                if bad[rows, b].any():
+                    num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
+                for j, kvals in enumerate(num / den, t):
+                    partial[j, :, b] = fblock @ kvals
 
     # Imported on first use so that importing the package stays as cheap as before.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
         for w1, w2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, _MC_CHUNK)):
-            fvals = np.empty((len(fs), len(w1)), dtype=np.complex128)
-            for i, f in enumerate(fs):
-                fvals[i] = f(w1, w2)
-            # The chunk is this call's own: conjugate it in place.
-            np.conjugate(w1, out=w1)
-            np.conjugate(w2, out=w2)
             blocks = -(-len(w1) // _EVAL_BLOCK)
             partial = np.empty((len(zs), len(fs), blocks), dtype=np.complex128)
             bad = np.empty((len(zs), blocks), dtype=np.int64)
             claims = iter(range(blocks))
             # Queued behind the draw of the next chunk, if there is one.
-            share = helper.submit(evaluate, claims, w1, w2, fvals, partial, bad)
+            share = helper.submit(evaluate, claims, w1, w2, partial, bad)
             try:
-                evaluate(claims, w1, w2, fvals, partial, bad)
+                evaluate(claims, w1, w2, partial, bad)
             finally:
                 # After an error, leave the helper no further block to claim.
                 for _ in claims:
@@ -564,9 +567,6 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
             for b in range(blocks):
                 acc += partial[:, :, b]
             excluded += bad.sum(axis=1)
-            # Freed before the next chunk's values are made, not after:
-            # the two sets are never resident together.
-            del fvals
     out = []
     for i, f in enumerate(fs):
         row = []

@@ -745,6 +745,31 @@ def test_reproducing_batch_memory_stays_bounded():
     assert peak <= 160 * 2**20
 
 
+
+def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
+    # On 10^5-sample chunks, 24 points may not cost a chunk-length array more
+    # than 3 do: each block makes its own function values and evaluates the
+    # kernel a few points at a time.  A chunk array is 1.6 MB of complex128.
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 100_000)
+    chunk_array = 16 * 100_000
+    rng = np.random.default_rng(24)
+    r2 = rng.uniform(0.5, 0.9, 24)
+    r1 = rng.uniform(0.0, 0.4, 24) * r2 ** (1 / 3)
+    phases = np.exp(2j * np.pi * rng.random((2, 24)))
+    zs = [Point2C(complex(a), complex(b)) for a, b in zip(r1 * phases[0], r2 * phases[1])]
+    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+    peaks = []
+    for points in (zs[:3], zs):
+        tracemalloc.start()
+        try:
+            oracle.reproducing_residuals_batch(DomainSpec.fat(3), fs, points, 250_000, seed=6003)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    few, many = peaks
+    assert many - few < chunk_array
+    assert many <= 9 * chunk_array
+
 class TestHandOff:
     """The stream's helper thread shares the evaluation of each chunk's points."""
 
