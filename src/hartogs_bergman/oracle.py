@@ -435,8 +435,10 @@ def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEsti
             gc = np.conj(memo[g])
             vals = memo[f] * gc
             total[i] += vals.sum()
-            sq_re[i] += float(np.dot(vals.real, vals.real))
-            sq_im[i] += float(np.dot(vals.imag, vals.imag))
+            # Summed by numpy, not np.dot: BLAS may split a dot product
+            # across threads, and its rounding then depends on their number.
+            sq_re[i] += float(np.square(vals.real).sum())
+            sq_im[i] += float(np.square(vals.imag).sum())
     out = []
     for t, sr, si in zip(total, sq_re, sq_im):
         mean = t / n

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,24 +486,24 @@ class TestMonteCarlo:
 GOLDEN_INNER_PRODUCTS = {
     ("fat:2", "one", "one", 20_000): "((6.579736267392905+0j), 0.0)",
     ("fat:2", "z1", "z2", 20_000): "((0.01524811757417326+0.028887027786924896j), 0.02319009100598043)",
-    ("fat:2", "z1", "z2", 1_500_000): "((0.00038941514351114714+0.0021660507591764215j), 0.002685400422816992)",
-    ("fat:2", "z2inv", "z2inv", 20_000): "((19.26340322844888+4.3963569359061055e-18j), 0.6358481905066826)",
-    ("fat:2", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.012384374271308042-0.008182871171121368j), 0.01638769940243421)",
+    ("fat:2", "z1", "z2", 1_500_000): "((0.00038941514351114714+0.0021660507591764215j), 0.0026854004228169877)",
+    ("fat:2", "z2inv", "z2inv", 20_000): "((19.26340322844888+4.3963569359061055e-18j), 0.6358481905066838)",
+    ("fat:2", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.012384374271308042-0.008182871171121368j), 0.016387699402434213)",
     ("thin:3", "one", "one", 20_000): "((2.4674011002723395+0j), 0.0)",
     ("thin:3", "z1", "z2", 20_000): "((0.0057180440903149745+0.010832635420096836j), 0.008696284127242661)",
-    ("thin:3", "z1", "z2", 1_500_000): "((0.00014603067881667963+0.0008122690346911583j), 0.001007025158556372)",
-    ("thin:3", "z2inv", "z2inv", 20_000): "((3.2874470202989023-7.227330181052327e-19j), 0.008017860137985002)",
-    ("thin:3", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.003524002026004078-0.003817980638744372j), 0.004831611434367236)",
+    ("thin:3", "z1", "z2", 1_500_000): "((0.00014603067881667963+0.0008122690346911583j), 0.0010070251585563704)",
+    ("thin:3", "z2inv", "z2inv", 20_000): "((3.2874470202989023-7.227330181052327e-19j), 0.008017860137984988)",
+    ("thin:3", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.003524002026004078-0.003817980638744372j), 0.004831611434367238)",
     ("classical", "one", "one", 20_000): "((4.934802200544679+0j), 0.0)",
-    ("classical", "z1", "z2", 20_000): "((0.011436088180629946+0.021665270840193682j), 0.017392568254485326)",
-    ("classical", "z1", "z2", 1_500_000): "((0.00029206135763335916+0.0016245380693823165j), 0.002014050317112744)",
-    ("classical", "z2inv", "z2inv", 20_000): "((9.802240530559168-1.8265847668947383e-18j), 0.10289215334615659)",
+    ("classical", "z1", "z2", 20_000): "((0.011436088180629946+0.021665270840193682j), 0.017392568254485322)",
+    ("classical", "z1", "z2", 1_500_000): "((0.00029206135763335916+0.0016245380693823165j), 0.002014050317112741)",
+    ("classical", "z2inv", "z2inv", 20_000): "((9.802240530559168-1.8265847668947383e-18j), 0.10289215334615665)",
     ("classical", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.008228041134924065-0.007125401650517648j), 0.010999846979080264)",
 }
 
 # sha256 of the stdout of
 # `inner-product --spec classical --f z2inv --g z2inv --n 1000000 --seed 5`.
-GOLDEN_INNER_PRODUCT_REPORT = "e10d00a6313a13d11efdbdf5687f8a23add0619d4e85258eab53122b84da879d"
+GOLDEN_INNER_PRODUCT_REPORT = "5077ec4f0da3d3a0d464d9b278a1978d97a88c066d06a894a7119b17ab65d9f6"
 
 
 class TestInnerProductsBatch:
@@ -769,6 +772,39 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     few, many = peaks
     assert many - few < chunk_array
     assert many <= 9 * chunk_array
+
+
+# Prints one inner-product pin and one reproducing pin, line by line.
+_PINS_SCRIPT = """
+from hartogs_bergman import DomainSpec, Point2C, oracle
+from hartogs_bergman.oracle import Monomial, inner_product_mc, parse_function
+est = inner_product_mc(DomainSpec.classical(), parse_function("z1"), parse_function("z2"),
+                       1_500_000, seed=11)
+print(repr((complex(est.value), est.std_error)))
+fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+zs = (Point2C(0.05, 0.6), Point2C(0.1 + 0.05j, 0.7j))
+for row in oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 2_500_001, seed=36):
+    for r in row:
+        print(repr((r.estimate, r.residual, r.excluded)))
+"""
+
+
+def test_pins_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count at start-up: one interpreter per count.
+    root = Path(__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _PINS_SCRIPT], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    want = (GOLDEN_INNER_PRODUCTS[("classical", "z1", "z2", 1_500_000)],
+            *GOLDEN_REPRODUCING[("fat:2", None)])
+    assert tuple(outs[0].decode().splitlines()) == want
 
 class TestHandOff:
     """The stream's helper thread shares the evaluation of each chunk's points."""
