@@ -435,8 +435,7 @@ def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEsti
             gc = np.conj(memo[g])
             vals = memo[f] * gc
             total[i] += vals.sum()
-            # Summed by numpy, not np.dot: BLAS may split a dot product
-            # across threads, and its rounding then depends on their number.
+            # numpy's sum, not np.dot: BLAS rounds a dot by its thread count.
             sq_re[i] += float(np.square(vals.real).sum())
             sq_im[i] += float(np.square(vals.imag).sum())
     out = []
@@ -462,10 +461,9 @@ def _drawn_ahead(helper, chunks):
         yield ready
 
 
-# Samples per evaluation block, and points per kernel tile within a block, in
-# reproducing_residuals_batch.  A tile's (points, samples) temporaries are at
-# most 256 KiB of complex128 whatever the number of points, and a block's
-# function values 64 KiB per function.  Constants, so that no estimate
+# Samples per evaluation block and points per kernel tile in
+# reproducing_residuals_batch: a tile's temporaries are at most 256 KiB of
+# complex128, however many points there are.  Constants, so that no estimate
 # depends on the number of points.
 _EVAL_BLOCK = 4_096
 _POINT_TILE = 4
@@ -499,21 +497,19 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     are correlated but individually unbiased.
 
     A helper thread draws chunk k + 1 (``_drawn_ahead``) and then helps
-    evaluate chunk k.  The caller and the helper claim the chunk's sample
-    blocks of _EVAL_BLOCK samples one at a time from one shared iterator,
-    and the caller waits for the helper's blocks before it moves to the next
-    chunk.  A block is evaluated entirely by the thread that claimed it: its
-    own (len(fs), width) function values F and conjugated samples, then, for
-    each tile of at most _POINT_TILE points, one kernel evaluation on
-    (tile, width) arrays, one near-singular mask, and for each point z_j the
-    sums F @ K[j] into that block's own slot.  The chunk is only read, and
-    no array longer than a block is made from it.  The slots are added in
-    block order after the join, so neither the thread, the timing nor the
-    tiling changes a bit of any estimate, and no estimate depends on the
-    other points.  The last (or only) chunk has no draw ahead of it, so the
-    helper joins at once.  When sampling is the slower half, the caller has
-    claimed every block before the helper is free, and the helper only
-    draws.
+    evaluate chunk k.  The caller and the helper claim the chunk's blocks of
+    _EVAL_BLOCK samples one at a time from one shared iterator, and the
+    caller waits for the helper's blocks before it moves to the next chunk.
+    The thread that claims a block evaluates all of it and only reads the
+    chunk: the block's (len(fs), width) function values F, then per tile of
+    _POINT_TILE points one kernel evaluation, one near-singular mask and,
+    for each point z_j, the sums F @ K[j] into that block's own slot.  The
+    slots are added in block order after the join, so neither the thread,
+    the timing nor the tiling changes a bit of any estimate, and no estimate
+    depends on the other points.  The last (or only) chunk has no draw
+    ahead of it, so the helper joins at once.  When sampling is the slower
+    half, the caller has claimed every block before the helper is free, and
+    the helper only draws.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
