@@ -480,7 +480,9 @@ class TestMonteCarlo:
 
 # repr((complex(value), std_error)) of inner_product_mc(spec, f, g, n,
 # seed=11), recorded before the single-pair estimator became a wrapper over
-# inner_products_mc.  n = 1_500_000 spans two default chunks.  Like
+# inner_products_mc; the std_errors were recorded again when the sums of
+# squares left BLAS, whose rounding moved with its thread count.
+# n = 1_500_000 spans two default chunks.  Like
 # GOLDEN_STREAMS in test_domain.py these depend on numpy's PCG64 stream and
 # the platform libm (recorded with numpy 2.4 on x86-64 glibc).
 GOLDEN_INNER_PRODUCTS = {
