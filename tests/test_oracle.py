@@ -735,6 +735,41 @@ def test_reproducing_batch_golden_seven_points(key, monkeypatch):
     got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
     assert got == GOLDEN_REPRODUCING_SEVEN[key]
 
+# The same functions and points under domain.BOUNDARY_MARGIN = 0.02,
+# reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
+# seed=44): about a tenth (fat:2) or a quarter (thin:3) of the draws fall in
+# the widened margin band, so the sampler's blocks keep fewer than 16,384
+# points and the chunks' 4096-sample evaluation blocks straddle them.
+GOLDEN_REPRODUCING_MARGIN = {
+    "fat:2": (
+        "((0.999508470319066+0.0007163339624856939j), 0.0008687553010195431, 0)",
+        "((0.9991268117490895+0.0001660022225795276j), 0.0008888275757589601, 0)",
+        "((0.04767945408108494+0.00020643198519249839j), 0.0023297097515149537, 0)",
+        "((0.0965255181202496+0.048151421925673135j), 0.0039356403836727635, 0)",
+        "((0.5789010604844255-0.00055321686236452j), 0.021106190977499373, 0)",
+        "((-0.0004849787000246824+0.6749528607021203j), 0.025051834091476467, 0)",
+    ),
+    "thin:3": (
+        "((0.9970359934472994+3.4037067676852125e-05j), 0.00296420197800824, 0)",
+        "((0.9960191571671838+0.0010550042044268598j), 0.004118269482554823, 0)",
+        "((0.037994599112930155-0.0006470171144965766j), 0.012022823362493062, 0)",
+        "((0.07803807270067856+0.03902541841732461j), 0.0245513276955744, 0)",
+        "((0.575326695195527-0.000565820827864524j), 0.02467979179781857, 0)",
+        "((1.9701215585129806e-05+0.6718685628638779j), 0.02813144403477157, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_REPRODUCING_MARGIN))
+def test_reproducing_batch_golden_under_a_wide_margin(text, monkeypatch):
+    monkeypatch.setattr(domain, "BOUNDARY_MARGIN", 0.02)
+    reports = oracle.reproducing_residuals_batch(
+        DomainSpec.parse(text), _GOLDEN_FS, _GOLDEN_ZS, 2_500_001, seed=44
+    )
+    got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
+    assert got == GOLDEN_REPRODUCING_MARGIN[text]
+
+
 def test_reproducing_batch_memory_stays_bounded():
     # Criterion 7's functions and points on fat:2 over three chunks: two
     # chunks of samples (one drawn ahead), the chunk's function values and
