@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import DomainSpec, Point2C, ipow, require_inside, sample_chunks, volume
-from .kernels import PI_SQ, kernel_num_den, near_singular
+from .kernels import PI_SQ, SingularEvaluation, kernel_num_den, near_singular
 
 __all__ = [
     "NonconvergentTruncation",
@@ -419,6 +419,8 @@ def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEsti
     for f, g in pairs:
         _require_admissible(spec, f)
         _require_admissible(spec, g)
+    if not pairs:
+        return []
     vol = volume(spec)
     total = [0.0j] * len(pairs)
     sq_re = [0.0] * len(pairs)
@@ -446,27 +448,32 @@ def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEsti
     return out
 
 
-def _drawn_ahead(helper, chunks):
-    """Yield the chunks of ``chunks``, each drawn on ``helper`` one chunk ahead.
+def _drawn_ahead(helper, stream):
+    """Yield the items of ``stream``, each drawn on ``helper`` one item ahead.
 
     ``helper``, a one-worker executor, is the only thread that advances
-    ``chunks``, so the points do not depend on timing; numpy releases the
+    ``stream``, so the points do not depend on timing; numpy releases the
     interpreter lock, so each draw overlaps the caller's work.  It runs
-    tasks in order: a task the caller submits on receiving chunk k runs as
-    soon as the draw of chunk k + 1 is done (at once after the last chunk).
+    tasks in order: a task the caller submits on receiving item k runs as
+    soon as the draw of item k + 1 is done (at once after the last item).
+    The reproducing integrator's items are pieces of a chunk, so one piece,
+    not one chunk, is in flight beside the one being evaluated.
     """
-    ahead = helper.submit(next, chunks, None)
+    ahead = helper.submit(next, stream, None)
     while (ready := ahead.result()) is not None:
-        ahead = helper.submit(next, chunks, None)
+        ahead = helper.submit(next, stream, None)
         yield ready
 
 
 # Samples per evaluation block and points per kernel tile in
 # reproducing_residuals_batch: a tile's temporaries are at most 256 KiB of
 # complex128, however many points there are.  Constants, so that no estimate
-# depends on the number of points.
+# depends on the number of points.  The integrator reads each chunk in
+# pieces of 32 blocks (4 MiB of samples): a whole number of blocks, so the
+# blocks stay the chunk's 4096-sample windows from its start.
 _EVAL_BLOCK = 4_096
 _POINT_TILE = 4
+_MC_PIECE = 32 * _EVAL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -494,22 +501,28 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
 
     Returns reports[i][j] for fs[i] and zs[j].  Sharing the stream keeps a
     10^7-sample battery affordable; estimates for different combinations
-    are correlated but individually unbiased.
+    are correlated but individually unbiased.  Empty fs or zs return at once,
+    with nothing drawn; a point at which every sample is excluded raises
+    SingularEvaluation.
 
-    A helper thread draws chunk k + 1 (``_drawn_ahead``) and then helps
-    evaluate chunk k.  The caller and the helper claim the chunk's blocks of
-    _EVAL_BLOCK samples one at a time from one shared iterator, and the
-    caller waits for the helper's blocks before it moves to the next chunk.
-    The thread that claims a block evaluates all of it and only reads the
-    chunk: the block's (len(fs), width) function values F, then per tile of
-    _POINT_TILE points one kernel evaluation, one near-singular mask and,
-    for each point z_j, the sums F @ K[j] into that block's own slot.  The
-    slots are added in block order after the join, so neither the thread,
-    the timing nor the tiling changes a bit of any estimate, and no estimate
-    depends on the other points.  The last (or only) chunk has no draw
-    ahead of it, so the helper joins at once.  When sampling is the slower
-    half, the caller has claimed every block before the helper is free, and
-    the helper only draws.
+    The stream is ``sample_chunks``'s _MC_CHUNK stream, read in pieces of
+    _MC_PIECE samples, so about two pieces (8 MiB) are held at once, however
+    long the chunk.  A helper thread draws piece k + 1 (``_drawn_ahead``) and
+    then helps evaluate piece k.  The caller and the helper claim the
+    piece's blocks of _EVAL_BLOCK samples one at a time from one shared
+    iterator, and the caller waits for the helper's blocks before it moves
+    to the next piece.  The thread that claims a block evaluates all of it
+    and only reads the piece: the block's (len(fs), width) function values
+    F, then per tile of _POINT_TILE points one kernel evaluation, one
+    near-singular mask and, for each point z_j, the sums F @ K[j] into that
+    block's own slot.  The slots are added in block order after the join.
+    A chunk's pieces are whole blocks of it, except its last, so the blocks
+    and their order are the chunk's: neither the pieces, the thread, the
+    timing nor the tiling changes a bit of any estimate, and no estimate
+    depends on the other points.  The last piece has no draw ahead of it, so
+    the helper joins at once.  When sampling is the slower half, the caller
+    has claimed every block before the helper is free, and the helper only
+    draws.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -517,6 +530,8 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
         require_inside(spec, z, name="evaluation point")
     for f in fs:
         _require_admissible(spec, f)
+    if not fs or not zs:
+        return [[] for _ in fs]
     vol = volume(spec)
     # Columns, so that each (point, sample) product broadcasts as z * conj(w).
     z1s = np.array([[z.z1] for z in zs], dtype=np.complex128)
@@ -547,13 +562,14 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     # Imported on first use so that importing the package stays as cheap as before.
     from concurrent.futures import ThreadPoolExecutor
 
+    pieces = sample_chunks(spec, n, seed, _MC_CHUNK, _MC_PIECE)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        for w1, w2 in _drawn_ahead(helper, sample_chunks(spec, n, seed, _MC_CHUNK)):
+        for w1, w2 in _drawn_ahead(helper, pieces):
             blocks = -(-len(w1) // _EVAL_BLOCK)
             partial = np.empty((len(zs), len(fs), blocks), dtype=np.complex128)
             bad = np.empty((len(zs), blocks), dtype=np.int64)
             claims = iter(range(blocks))
-            # Queued behind the draw of the next chunk, if there is one.
+            # Queued behind the draw of the next piece, if there is one.
             share = helper.submit(evaluate, claims, w1, w2, partial, bad)
             try:
                 evaluate(claims, w1, w2, partial, bad)
@@ -565,6 +581,10 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
             for b in range(blocks):
                 acc += partial[:, :, b]
             excluded += bad.sum(axis=1)
+    for z, bad in zip(zs, excluded):
+        if bad == n:
+            raise SingularEvaluation(
+                f"all {n} samples are near-singular at evaluation point ({z.z1}, {z.z2})")
     out = []
     for i, f in enumerate(fs):
         row = []

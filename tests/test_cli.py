@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hartogs_bergman import acceptance, cli
+from hartogs_bergman import acceptance, cli, kernels
 from hartogs_bergman.acceptance import criterion_2_fat_series
 from hartogs_bergman.cli import main
 from hartogs_bergman.domain import DomainSpec, Point2C, contains
@@ -260,6 +260,14 @@ class TestChecks:
         code, _, err = run(capsys, "reproducing", "--spec", "classical", "--f", "z3")
         assert code == 1
         assert "error" in err
+
+    def test_reproducing_with_every_sample_excluded_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", 1e300)
+        code, out, err = run(capsys, "reproducing", "--spec", "fat:2", "--n", "2000")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["hartogs-bergman reproducing: error: all 2000 samples are "
+                                    "near-singular at evaluation point ((0.1+0j), (0.5+0j))"]
 
 
 def _series_argv(spec, seed, *extra):

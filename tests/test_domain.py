@@ -461,6 +461,49 @@ class TestSampleChunks:
         with pytest.raises(ValueError):
             next(sample_chunks(self.SPEC, n, seed=1, chunk=chunk))
 
+    def test_rejects_empty_piece(self):
+        with pytest.raises(ValueError, match="piece size"):
+            next(sample_chunks(self.SPEC, 10, seed=1, chunk=10, piece=0))
+
+    def _check_pieces(self, n, seed, chunk, piece):
+        # Each chunk's pieces hold piece points, its last one the rest, and
+        # join to the chunk bit for bit.
+        pieces = sample_chunks(self.SPEC, n, seed, chunk, piece)
+        for z1, z2 in sample_chunks(self.SPEC, n, seed, chunk):
+            count = -(-len(z1) // piece)
+            got = [next(pieces) for _ in range(count)]
+            assert [len(p1) for p1, _ in got] == [piece] * (count - 1) + [len(z1) - (count - 1) * piece]
+            assert np.concatenate([p1 for p1, _ in got]).tobytes() == z1.tobytes()
+            assert np.concatenate([p2 for _, p2 in got]).tobytes() == z2.tobytes()
+        assert next(pieces, None) is None
+
+    @pytest.mark.parametrize("n, chunk, piece", [
+        (25_001, 10_000, 2_500),   # a partial last chunk
+        (25_001, 10_000, 50_000),  # a piece longer than the chunk
+        (40_000, 20_000, 4_096),   # a piece that does not divide the chunk
+        (40_000, 40_000, 40_000),  # a piece that is the chunk
+    ])
+    def test_pieces_join_to_the_chunks(self, n, chunk, piece):
+        self._check_pieces(n, seed=49, chunk=chunk, piece=piece)
+
+    @pytest.mark.parametrize("piece", [5_000, 16_384, 20_000])
+    def test_pieces_straddle_blocks_that_keep_fewer_points(self, monkeypatch, piece):
+        # A margin of 0.02 puts about a quarter of thin:3's draws in the band,
+        # so blocks keep fewer than 16,384 points and a draw that reaches its
+        # piece carries the block's extra points into the next piece.
+        monkeypatch.setattr(domain, "BOUNDARY_MARGIN", 0.02)
+        carried = []
+
+        def recording(rng, spec, n, stop=None):
+            z1, z2 = _fill_uniform(rng, spec, n, stop)
+            if stop is not None:
+                carried.append(len(z1) - min(stop, n))
+            return z1, z2
+
+        monkeypatch.setattr(domain, "_fill_uniform", recording)
+        self._check_pieces(100_001, seed=50, chunk=60_000, piece=piece)
+        assert min(carried) >= 0 and max(carried) > 0
+
 
 class TestBoundaryPaths:
     @pytest.mark.parametrize("spec", TRIANGLES)

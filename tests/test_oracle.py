@@ -22,8 +22,9 @@ from hartogs_bergman import (
     bergman_thin,
 )
 from hartogs_bergman import acceptance, cli, domain, kernels, oracle
-from hartogs_bergman.domain import _fill_uniform, sample_chunks, sample_uniform_arrays, volume
-from hartogs_bergman.kernels import kernel_num_den, pair_invariants
+from hartogs_bergman.domain import (DomainError, _fill_uniform, sample_chunks, sample_uniform_arrays,
+                                    volume)
+from hartogs_bergman.kernels import SingularEvaluation, kernel_num_den, pair_invariants
 from hartogs_bergman.oracle import (
     Monomial,
     NonconvergentTruncation,
@@ -590,6 +591,49 @@ class TestReproducing:
         expected = volume(spec) * np.sum(num[ok] / den[ok]) / ok.sum()
         assert rep.estimate == pytest.approx(expected, rel=1e-12)
 
+    def test_every_sample_excluded_raises(self, monkeypatch):
+        # Nothing is left to average: the check fails and names the point, not
+        # a division by zero.
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", 1e300)
+        with pytest.raises(SingularEvaluation, match=r"^all 2000 samples are near-singular at "
+                                                     r"evaluation point \(\(0\.1\+0j\), \(0\.5\+0j\)\)$"):
+            reproducing_check(DomainSpec.fat(2), Monomial(0, 0), Point2C(0.1, 0.5), 2_000, seed=1)
+
+
+class TestEmptyInputs:
+    """Nothing to estimate returns at once, after the same validation, with no sample drawn."""
+
+    SPEC = DomainSpec.fat(2)
+    Z = Point2C(0.1, 0.5)
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def drew(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(domain, "_fill_uniform", drew)
+
+    def test_reproducing_without_functions_or_points(self):
+        one = Monomial(0, 0)
+        batch = oracle.reproducing_residuals_batch
+        assert batch(self.SPEC, (), (self.Z,), 10**7, seed=1) == []
+        assert batch(self.SPEC, (one, one), (), 10**7, seed=1) == [[], []]
+        assert batch(self.SPEC, (), (), 10**7, seed=1) == []
+
+    def test_inner_products_without_pairs(self):
+        assert inner_products_mc(self.SPEC, (), 10**7, seed=1) == []
+
+    def test_empty_inputs_are_still_validated(self):
+        batch = oracle.reproducing_residuals_batch
+        with pytest.raises(ValueError, match="at least 10\\^3"):
+            batch(self.SPEC, (), (self.Z,), 999, seed=1)
+        with pytest.raises(DomainError, match="evaluation point"):
+            batch(self.SPEC, (), (Point2C(0.9, 0.5),), 10**7, seed=1)
+        with pytest.raises(ValueError, match="not square-integrable"):
+            batch(DomainSpec.classical(), (Monomial(0, -2),), (), 10**7, seed=1)
+        with pytest.raises(ValueError, match="at least 10\\^3"):
+            inner_products_mc(self.SPEC, (), 999, seed=1)
+
 
 # repr((estimate, residual, excluded)) of every report of
 # reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
@@ -772,8 +816,8 @@ def test_reproducing_batch_golden_under_a_wide_margin(text, monkeypatch):
 
 def test_reproducing_batch_memory_stays_bounded():
     # Criterion 7's functions and points on fat:2 over three chunks: two
-    # chunks of samples (one drawn ahead), the chunk's function values and
-    # the block temporaries, not a chunk-length array per point or thread.
+    # pieces of samples (one drawn ahead) and the block temporaries of two
+    # threads, not a chunk-length array per point or thread.
     fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
     zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
     tracemalloc.start()
@@ -809,6 +853,57 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     few, many = peaks
     assert many - few < chunk_array
     assert many <= 9 * chunk_array
+
+
+def test_reproducing_batch_holds_two_pieces():
+    # The case above against about two pieces of _MC_PIECE samples (4 MiB
+    # each, one drawn ahead, the drawn one up to a sampler block longer) and
+    # the block temporaries of two threads; two chunks alone were 64 MiB.
+    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+    zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
+    tracemalloc.start()
+    try:
+        oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 3_000_000, seed=6002)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
+def test_reproducing_batch_memory_does_not_grow_with_the_chunk(monkeypatch):
+    # The integrator holds pieces, not chunks: a 10^6-sample chunk may not
+    # cost a 2.5·10^5-point chunk array (4 MB of complex128) more than
+    # 2.5·10^5-sample chunks of the same samples.
+    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+    zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
+    peaks = []
+    for chunk in (1_000_000, 250_000):
+        monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 1_000_000, seed=6004)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < 16 * 250_000
+
+
+def test_reproducing_batch_draws_the_chunks_in_pieces(monkeypatch):
+    # Each draw returns one piece of a 10^6-sample chunk: the chunk's last
+    # piece is short, and no draw straddles two chunks.
+    drawn = []
+
+    def recording(rng, spec, n, stop=None):
+        z1, z2 = _fill_uniform(rng, spec, n, stop)
+        drawn.append(len(z1))
+        return z1, z2
+
+    monkeypatch.setattr(domain, "_fill_uniform", recording)
+    oracle.reproducing_residuals_batch(
+        DomainSpec.fat(2), (Monomial(0, 0),), (Point2C(0.1, 0.5),), 1_500_000, seed=49
+    )
+    piece = oracle._MC_PIECE
+    assert drawn == [piece] * 7 + [1_000_000 - 7 * piece] + [piece] * 3 + [500_000 - 3 * piece]
 
 
 # Prints one inner-product pin and one reproducing pin, line by line.
