@@ -856,14 +856,15 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
 
 
 def test_reproducing_batch_holds_two_pieces():
-    # The case above against about two pieces of _MC_PIECE samples (4 MiB
-    # each, one drawn ahead, the drawn one up to a sampler block longer) and
-    # the block temporaries of two threads; two chunks alone were 64 MiB.
-    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-    zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
+    # test_reproducing_batch_memory_stays_bounded's case (criterion 7's
+    # functions, _GOLDEN_FS, and points, the first three of _GOLDEN_ZS7)
+    # against about two pieces of _MC_PIECE samples (4 MiB each, one drawn
+    # ahead, the drawn one up to a sampler block longer) and the block
+    # temporaries of two threads; two chunks alone were 64 MiB.
     tracemalloc.start()
     try:
-        oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 3_000_000, seed=6002)
+        oracle.reproducing_residuals_batch(DomainSpec.fat(2), _GOLDEN_FS, _GOLDEN_ZS7[:3],
+                                           3_000_000, seed=6002)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -874,14 +875,13 @@ def test_reproducing_batch_memory_does_not_grow_with_the_chunk(monkeypatch):
     # The integrator holds pieces, not chunks: a 10^6-sample chunk may not
     # cost a 2.5·10^5-point chunk array (4 MB of complex128) more than
     # 2.5·10^5-sample chunks of the same samples.
-    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-    zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
     peaks = []
     for chunk in (1_000_000, 250_000):
         monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
         tracemalloc.start()
         try:
-            oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 1_000_000, seed=6004)
+            oracle.reproducing_residuals_batch(DomainSpec.fat(2), _GOLDEN_FS, _GOLDEN_ZS7[:3],
+                                               1_000_000, seed=6004)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -989,18 +989,14 @@ class TestHandOff:
                     (want.estimate, want.residual, want.excluded)
                 )
 
-    @pytest.mark.usefixtures("small_chunks")
-    def test_concurrent_batches_under_short_switch_interval(self):
+    def _check_concurrent_batches(self, n, seed, want):
         # Three callers, each with its own helper: six threads on the
         # machine's cores, switching every microsecond.  A point claimed
         # twice or lost, or a buffer shared between threads, changes bits.
-        n = 30_001
-        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
-                for z in self.ZS]
         results = {}
 
         def run(key):
-            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed=40)
+            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1018,6 +1014,23 @@ class TestHandOff:
             for j in range(len(self.ZS)):
                 for i in range(len(self.FS)):
                     assert repr(batch[i][j]) == repr(want[j][i][0])
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_concurrent_batches_under_short_switch_interval(self):
+        n = 30_001
+        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
+                for z in self.ZS]
+        self._check_concurrent_batches(n, 40, want)
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_concurrent_batches_on_pieces(self, monkeypatch):
+        # Pieces of one evaluation block, three per 10^4-sample chunk, give
+        # the bits of one-point batches on whole chunks.
+        n = 30_001
+        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
+                for z in self.ZS]
+        monkeypatch.setattr(oracle, "_MC_PIECE", oracle._EVAL_BLOCK)
+        self._check_concurrent_batches(n, 40, want)
 
     @pytest.mark.usefixtures("small_chunks")
     def test_at_most_one_thread_besides_the_caller(self, monkeypatch):
