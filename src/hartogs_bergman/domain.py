@@ -457,7 +457,8 @@ def _chunk_pieces(rng: np.random.Generator, spec: DomainSpec, n: int, piece: int
     Each draw is sized by the points the chunk still misses, not by the
     piece, so its blocks are the chunk's own: a margin-band rejection moves
     no later block.  A block that ends past the piece carries its extra
-    points (fewer than _SAMPLE_BLOCK) into the next piece.
+    points (fewer than _SAMPLE_BLOCK) into the next piece.  The cap on empty
+    blocks counts per draw, that is per piece.
     """
     c1 = c2 = np.empty(0, dtype=np.complex128)  # points kept, not yet yielded
     left = n
