@@ -118,11 +118,6 @@ def _small_t_share(spec: DomainSpec, max_mod: float) -> float:
     return max_mod**c * (1.0 - c * math.log(max_mod))
 
 
-def _abs(x: np.ndarray) -> np.ndarray:
-    # |x| as Python's abs rounds it; numpy's complex abs can differ in the last bit.
-    return np.hypot(x.real, x.imag)
-
-
 def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float = 0.4,
                       series_tol: float = 1e-10,
                       thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> list[tuple]:
@@ -140,7 +135,7 @@ def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float 
             f"fewer than {n_pairs}")
 
     def small(s, t):
-        return (_abs(s) <= max_mod) & (_abs(t) <= max_mod)
+        return (np.abs(s) <= max_mod) & (np.abs(t) <= max_mod)
 
     pairs = _pairs(spec, n_pairs, seed, keep=small)
     z1, z2, w1, w2 = pairs.T
@@ -203,15 +198,15 @@ def criterion_3_thin_resolution():
         spec = DomainSpec.thin(k)
 
         def workable(s, t):
-            return (_abs(t) <= 0.7) & (_abs(s) <= 0.75 * _abs(t) ** k)
+            return (np.abs(t) <= 0.7) & (np.abs(s) <= 0.75 * np.abs(t) ** k)
 
         pairs = _pairs(spec, 25, seed=2000 + k, keep=workable)
         series, _, _ = series_row_sums(spec, *pair_invariants(*pairs.T), 1e-10)
         for variant in series_dev:
             value, pull = invariance_sides(shear_iter(k), spec, DomainSpec.punctured_bidisc(),
                                            *pairs.T, thin_variant=variant)
-            series_dev[variant] = max(series_dev[variant], *(_abs(value - series) / _abs(series)))
-            pull_dev[variant] = max(pull_dev[variant], *(_abs(value - pull) / _abs(pull)))
+            series_dev[variant] = max(series_dev[variant], *(np.abs(value - series) / np.abs(series)))
+            pull_dev[variant] = max(pull_dev[variant], *(np.abs(value - pull) / np.abs(pull)))
     good_series, good_pull = series_dev["1-t"], pull_dev["1-t"]
     bad_series, bad_pull = series_dev["1-s"], pull_dev["1-s"]
     ok = good_series <= 1e-6 and good_pull <= 1e-12 and bad_series > 1e-3 and bad_pull > 1e-3

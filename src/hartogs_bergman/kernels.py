@@ -99,11 +99,11 @@ class KernelArgs:
 
 
 def pair_invariants(z1, z2, w1, w2):
-    """(s, t) on arrays of pairs, rounded as ``kernel``'s Python complex products
-    round them (numpy's complex multiply can differ in the last bit)."""
-    parts = [(a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag)
-             for a, b in ((z1, w1), (z2, w2))]
-    return tuple(np.stack(p, axis=-1).view(np.complex128)[..., 0] for p in parts)
+    """(s, t) = (z1 conj(w1), z2 conj(w2)) on arrays of pairs."""
+    # Bound first: numpy may reuse a bare conj temporary for the product with
+    # the operands swapped, and a large call would round unlike its slices.
+    c1, c2 = np.conj(w1), np.conj(w2)
+    return z1 * c1, z2 * c2
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def kernel_factors(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
     The only place the closed forms are written, for scalars and arrays
     alike.  top is 1 - t (1 - s for the thin "1-s" variant and the bidiscs),
     curve is t - s^k (thin: t^k - s; bidiscs: 1 - t).  s^k and t^k are taken
-    by ``ipow``: the products of Python's ``**`` on complex scalars for
-    k <= 100, and faster than numpy's power on arrays.
+    by ``ipow``.
     """
     if thin_variant not in ("1-t", "1-s"):
         raise ValueError(f"unknown thin variant {thin_variant!r}")

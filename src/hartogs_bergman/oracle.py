@@ -90,9 +90,7 @@ def b_min(spec: DomainSpec, a: int) -> int:
 
 def _b_min(g: Fraction, a: int) -> int:
     # floor(-1 - (a+1)/g) + 1 = -ceil((a+1) q / p) for g = p/q, exactly, in
-    # Python ints with no Fraction per row.  A Python int also keeps
-    # ``t ** b`` on Python's complex power; a numpy integer exponent would
-    # take numpy's power, whose last bit can differ.
+    # Python ints with no Fraction per row.
     p, q = g.numerator, g.denominator
     return -(((a + 1) * q + p - 1) // p)
 
@@ -263,8 +261,7 @@ def series_row_sums(spec: DomainSpec, s, t, tol: float) -> tuple[np.ndarray, np.
     ``np.multiply.accumulate`` and the totals by ``np.add.accumulate`` from
     the running total, in kernel_series's order.  A pair leaves at the first
     row whose tail bound passes, so it sums kernel_series's rows; its value
-    and tail bound agree to rounding, as numpy's complex products, quotients
-    and powers may round differently from Python's in the last bit.  A
+    and tail bound agree with kernel_series's to rounding.  A
     tolerance that is not > 0, or a gamma = p/q whose b_min(a) leaves int64
     before row _MAX_ROWS (thin:k from k ~ 2^46), raises ValueError before any
     summing; NonconvergentTruncation names row _MAX_ROWS for the first pair,
@@ -285,8 +282,8 @@ def series_row_sums(spec: DomainSpec, s, t, tol: float) -> tuple[np.ndarray, np.
     with np.errstate(all="ignore"):  # pairs outside give inf or NaN and never pass
         inv = 1.0 / (1.0 - t)
         ramp = 2.0 * t * inv * inv
-        x = np.hypot(t.real, t.imag)  # abs as Python rounds it
-        rho, pref = _tail_factors(gf, np.hypot(s.real, s.imag), x)
+        x = np.abs(t)
+        rho, pref = _tail_factors(gf, np.abs(s), x)
     rho[x >= 1.0] = math.inf
     steps = {}  # step d -> s t^d, the leader's factor from a row to the next
 
@@ -320,11 +317,10 @@ def series_row_sums(spec: DomainSpec, s, t, tol: float) -> tuple[np.ndarray, np.
             terms[:, 0] += total
             np.add.accumulate(terms, axis=1, out=terms)
             total = terms[:, -1]
-            # Real and imaginary parts divided apart, as Python divides by a float.
-            value = (terms.view(np.float64) / (4.0 * PI_SQ)).view(np.complex128)
+            value = terms / (4.0 * PI_SQ)
             tail = _rows_tail(pref[active, None], rho[active, None], a) / (4.0 * PI_SQ)
         tail[rho[active] >= 1.0] = math.inf
-        passed = tail <= tol * np.fmax(1.0, np.hypot(value.real, value.imag))
+        passed = tail <= tol * np.fmax(1.0, np.abs(value))
         done = passed.any(axis=1)
         if a0 + w > _MAX_ROWS and not done.all():
             first = np.argmin(done)
