@@ -1,6 +1,7 @@
 """Modules of the package reach each other through public names only, only
 ``oracle`` may start a thread, only ``kernels`` reads the near-singular
-threshold, and every name the benchmark's tracer rebinds exists."""
+threshold, no module takes ``hypot``, and every name the benchmark's tracer
+rebinds exists."""
 
 import ast
 import importlib
@@ -80,6 +81,13 @@ def test_only_kernels_reads_the_near_singular_threshold():
         if "NEAR_SINGULAR_THRESHOLD" in set(names_used(path))
     }
     assert found == {"kernels"}
+
+
+def test_no_module_names_hypot():
+    # Array paths take numpy's complex abs; hypot on the real and imaginary
+    # parts served only to copy Python's scalar rounding.
+    found = {path.stem for path in PACKAGE_DIR.glob("*.py") if "hypot" in set(names_used(path))}
+    assert found == set()
 
 
 def test_only_the_formula_modules_name_the_kernel_constants():

@@ -299,6 +299,33 @@ def test_array_num_den_golden(key):
     assert digest == GOLDEN_ARRAY[key]
 
 
+def test_pair_invariants_match_their_one_pair_slices():
+    # 20,000 pairs pass numpy's 16,384-element threshold for reusing a bare
+    # temporary as the result, which swaps a complex product's operands and
+    # so its rounding; a pair's (s, t) must not depend on its batch.
+    n = 20_000
+    z1, z2 = sample_uniform_arrays(DomainSpec.fat(3), 2 * n, seed=23)
+    zw = (z1[:n], z2[:n], z1[n:], z2[n:])
+    whole = np.stack(pair_invariants(*zw))
+    ones = np.hstack([np.stack(pair_invariants(*(a[i:i + 1] for a in zw))) for i in range(n)])
+    assert whole.tobytes() == ones.tobytes()
+
+
+# The scalar kernel rounds with Python's complex arithmetic and the array path
+# with numpy's; they are one formula, so they agree to a few eps.
+@pytest.mark.parametrize("text,variant",
+                         [(t, v) for t in GOLDEN_SCALAR if t != "corner"
+                          for v in (("1-t", "1-s") if t.startswith("thin") else ("1-t",))])
+def test_scalar_kernel_agrees_with_the_array_path(text, variant):
+    n = 1000
+    spec = DomainSpec.parse(text)
+    z1, z2 = sample_uniform_arrays(spec, 2 * n, seed=29)
+    num, den = kernel_num_den(spec, *pair_invariants(z1[:n], z2[:n], z1[n:], z2[n:]), variant)
+    scalar = np.array([kernel(spec, Point2C(z1[i], z2[i]), Point2C(z1[n + i], z2[n + i]),
+                              thin_variant=variant).value for i in range(n)])
+    assert np.all(np.abs(num / den - scalar) <= 1e-12 * np.abs(scalar))
+
+
 # The same on one (points, samples) block as the reproducing integrator
 # evaluates: 24 points by 4096 samples, past numpy's 256 KiB threshold for
 # reusing temporaries in place.  Recorded before the kernel forms were factored.
