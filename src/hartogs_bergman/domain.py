@@ -158,10 +158,10 @@ def ipow(x, k: int):
 
     Real products round the same on Python floats and numpy arrays, which
     membership relies on, where ``**`` does not (libm pow vs numpy's
-    vectorized pow differ in the last bit); complex products need not, as
-    numpy's complex multiply may fuse them.  On complex arrays these
-    products are several times faster than numpy's per-element power.  For
-    k <= 3 these are the products of plain repeated multiplication.
+    vectorized pow differ in the last bit); complex products need not.  On
+    complex arrays these products are several times faster than numpy's
+    per-element power.  For k <= 3 these are the products of plain repeated
+    multiplication.
     """
     y = x if k & 1 else None
     while k := k >> 1:
