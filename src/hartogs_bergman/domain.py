@@ -297,7 +297,8 @@ def _disc_samples(rng: np.random.Generator, n: int) -> np.ndarray:
 # Points per sampler block: a block's moduli and phase proposals stay in the
 # L2 cache.  A constant, so the stream does not depend on the memory at hand.
 _SAMPLE_BLOCK = 16_384
-_EMPTY_BLOCKS = 10_000  # blocks that keep no point before the sampler gives up
+# Full blocks' worth of draws that keep no point before the sampler gives up.
+_EMPTY_BLOCKS = 10_000
 
 
 def _moduli(spec: DomainSpec, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +369,9 @@ def _fill_uniform(
     (spec, n, seed) is a contract, pinned by a golden-hash test.  The verdict
     uses the drawn moduli, not |z| recomputed from the complex point; the two
     differ by at most a couple of ulps, so they can disagree only on a draw
-    within ulps of the margin band.
+    within ulps of the margin band.  Past _EMPTY_BLOCKS * _SAMPLE_BLOCK
+    draws in blocks that keep no point, it raises ValueError: a short last
+    block counts its own draws, not a full block's.
 
     Given stop < n, the draw returns after the first whole block that brings
     the kept points to stop or more (fewer than stop + _SAMPLE_BLOCK).
@@ -388,8 +391,8 @@ def _fill_uniform(
         if not keep.all():
             r1, r2 = r1[keep], r2[keep]
         if not r1.size:
-            empty += 1
-            if empty > _EMPTY_BLOCKS:
+            empty += len(u)
+            if empty > _EMPTY_BLOCKS * _SAMPLE_BLOCK:
                 # A ValueError: the domain is too thin to sample, as with the pair filter.
                 raise ValueError(f"rejection sampling on {spec} accepted {got} of {n} points")
             continue
@@ -404,18 +407,21 @@ def _require_keep_share(spec: DomainSpec, n: int) -> None:
     """Raise ValueError if ``_fill_uniform`` cannot be expected to draw n points before its cap.
 
     With share from ``_keep_share_bound``, a block of m draws is empty with
-    probability q = (1 - share)^m.  Until _EMPTY_BLOCKS + 1 are empty, (_EMPTY_BLOCKS + 1) / q
-    blocks are drawn on average, and each keeps share * m points on average.
+    probability q = (1 - share)^m.  The cap counts the draws of empty blocks,
+    so it trips at the e = _EMPTY_BLOCKS * _SAMPLE_BLOCK // m + 1st empty block.
+    Until then e / q blocks are drawn on average, and each keeps share * m
+    points on average.
     """
     share, block = _keep_share_bound(spec), min(n, _SAMPLE_BLOCK)
     if share == 1.0:
         return
     empty = math.exp(block * math.log1p(-share))
-    expect = (_EMPTY_BLOCKS + 1) * block * share / empty if empty > 0.0 else math.inf
+    blocks = _EMPTY_BLOCKS * _SAMPLE_BLOCK // block + 1
+    expect = blocks * block * share / empty if empty > 0.0 else math.inf
     if expect < n:
         raise ValueError(
             f"rejection sampling on {spec} keeps at most {share:.3g} of its draws: "
-            f"blocks of {block} until {_EMPTY_BLOCKS + 1} are empty expect {expect:.3g} points, "
+            f"blocks of {block} until {blocks} are empty expect {expect:.3g} points, "
             f"fewer than {n}")
 
 

@@ -393,6 +393,15 @@ class TestExactSampler:
         with pytest.raises(ValueError, match=r"^rejection sampling on thin:\d+ accepted 0 of 5 points$"):
             _fill_uniform(np.random.default_rng(1), DomainSpec.thin(10**17), 5)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_short_empty_blocks_count_their_own_draws(self, monkeypatch, seed):
+        # thin:2·10^14 keeps ~7e-4 of its draws, so blocks sized to the few
+        # points still missing are mostly empty; counted as full blocks, 101
+        # of them ended the draw with 0-2 of 20 points.
+        monkeypatch.setattr(domain, "_EMPTY_BLOCKS", 100)
+        z1, z2 = _fill_uniform(np.random.default_rng(seed), DomainSpec.thin(2 * 10**14), 20)
+        assert len(z1) == len(z2) == 20
+
 
 def _helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith("sample_chunks")]
