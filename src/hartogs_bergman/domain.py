@@ -357,7 +357,7 @@ def _keep_share_bound(spec: DomainSpec) -> float:
 
 
 def _fill_uniform(
-    rng: np.random.Generator, spec: DomainSpec, n: int, stop: int | None = None
+    rng: np.random.Generator, spec: DomainSpec, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n uniform in-domain points, exactly, in blocks of at most _SAMPLE_BLOCK.
 
@@ -372,19 +372,11 @@ def _fill_uniform(
     within ulps of the margin band.  Past _EMPTY_BLOCKS * _SAMPLE_BLOCK
     draws in blocks that keep no point, it raises ValueError: a short last
     block counts its own draws, not a full block's.
-
-    Given stop < n, the draw returns after the first whole block that brings
-    the kept points to stop or more (fewer than stop + _SAMPLE_BLOCK).
-    Those blocks are the first blocks of the n-point draw, so a call for the
-    points still missing continues the same stream (``sample_chunks``'s
-    pieces).
     """
-    stop = n if stop is None else min(stop, n)
-    size = min(n, stop + _SAMPLE_BLOCK - 1)
-    z1 = np.empty(size, dtype=np.complex128)
-    z2 = np.empty(size, dtype=np.complex128)
+    z1 = np.empty(n, dtype=np.complex128)
+    z2 = np.empty(n, dtype=np.complex128)
     got = empty = 0
-    while got < stop:
+    while got < n:
         u, v = rng.random((2, min(n - got, _SAMPLE_BLOCK)))
         r1, r2 = _moduli(spec, u, v)
         keep = _inside_moduli(spec, r1, r2)
@@ -400,7 +392,7 @@ def _fill_uniform(
         _fill_polar(rng, z1[part], r1)
         _fill_polar(rng, z2[part], r2)
         got += r1.size
-    return z1[:got], z2[:got]
+    return z1, z2
 
 
 def _require_keep_share(spec: DomainSpec, n: int) -> None:
@@ -430,54 +422,23 @@ def sample_uniform_arrays(spec: DomainSpec, n: int, seed: int) -> tuple[np.ndarr
     return next(sample_chunks(spec, n, seed, n))
 
 
-def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int, piece: int | None = None):
+def sample_chunks(spec: DomainSpec, n: int, seed: int, chunk: int):
     """Yield n uniform points as (z1, z2) array chunks of length chunk (the last may be shorter).
 
     The chunks are the successive ``_fill_uniform`` draws of one
     ``default_rng(seed)``, so the stream is fixed by (spec, n, seed, chunk).
-    Given piece, each chunk is yielded as consecutive pieces of that length
-    (the chunk's last piece may be shorter) that join to the chunk bit for
-    bit (``_chunk_pieces``), so a reader holds a piece, not a chunk.  Each
-    chunk or piece is drawn when it is asked for, in the thread that asks;
-    the stream starts no thread of its own.  A domain too thin to yield a
-    chunk raises ValueError before any draw (``_require_keep_share``).
+    Each chunk is drawn when it is asked for, in the thread that asks; the
+    stream starts no thread of its own.  A domain too thin to yield a chunk
+    raises ValueError before any draw (``_require_keep_share``).
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     if chunk < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk}")
-    if piece is not None and piece < 1:
-        raise ValueError(f"piece size must be >= 1, got {piece}")
     _require_keep_share(spec, min(n, chunk))
     rng = np.random.default_rng(seed)
     for lo in range(0, n, chunk):
-        size = min(chunk, n - lo)
-        if piece is None or piece >= size:
-            yield _fill_uniform(rng, spec, size)
-        else:
-            yield from _chunk_pieces(rng, spec, size, piece)
-
-
-def _chunk_pieces(rng: np.random.Generator, spec: DomainSpec, n: int, piece: int):
-    """Yield ``_fill_uniform(rng, spec, n)`` as pieces of length piece, the last shorter.
-
-    Each draw is sized by the points the chunk still misses, not by the
-    piece, so its blocks are the chunk's own: a margin-band rejection moves
-    no later block.  A block that ends past the piece carries its extra
-    points (fewer than _SAMPLE_BLOCK) into the next piece.  The cap on empty
-    blocks counts per draw, that is per piece.
-    """
-    c1 = c2 = np.empty(0, dtype=np.complex128)  # points kept, not yet yielded
-    left = n
-    while left:
-        z1, z2 = _fill_uniform(rng, spec, left, piece - len(c1))
-        left -= len(z1)
-        if len(c1):
-            z1, z2 = np.concatenate((c1, z1)), np.concatenate((c2, z2))
-        while len(z1) >= piece or (not left and len(z1)):
-            yield z1[:piece], z2[:piece]
-            z1, z2 = z1[piece:], z2[piece:]
-        c1, c2 = z1, z2
+        yield _fill_uniform(rng, spec, min(chunk, n - lo))
 
 
 def sample_uniform(spec: DomainSpec, n: int, seed: int) -> list[Point2C]:

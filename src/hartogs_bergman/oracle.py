@@ -390,7 +390,7 @@ class McEstimate:
     seed: int
 
 
-# Samples per chunk of the Monte Carlo integrators (read at each call).
+# Samples per chunk of inner_products_mc (read at each call).
 _MC_CHUNK = 1_000_000
 
 
@@ -452,8 +452,8 @@ def _drawn_ahead(helper, stream):
     interpreter lock, so each draw overlaps the caller's work.  It runs
     tasks in order: a task the caller submits on receiving item k runs as
     soon as the draw of item k + 1 is done (at once after the last item).
-    The reproducing integrator's items are pieces of a chunk, so one piece,
-    not one chunk, is in flight beside the one being evaluated.
+    The reproducing integrator's items are its chunks of _REPRODUCING_CHUNK
+    samples, so one 4 MiB chunk is in flight beside the one being evaluated.
     """
     ahead = helper.submit(next, stream, None)
     while (ready := ahead.result()) is not None:
@@ -464,12 +464,11 @@ def _drawn_ahead(helper, stream):
 # Samples per evaluation block and points per kernel tile in
 # reproducing_residuals_batch: a tile's temporaries are at most 256 KiB of
 # complex128, however many points there are.  Constants, so that no estimate
-# depends on the number of points.  The integrator reads each chunk in
-# pieces of 32 blocks (4 MiB of samples): a whole number of blocks, so the
-# blocks stay the chunk's 4096-sample windows from its start.
+# depends on the number of points.  The integrator reads the stream in chunks
+# of 32 blocks (4 MiB of samples), so only the stream's last block is short.
 _EVAL_BLOCK = 4_096
 _POINT_TILE = 4
-_MC_PIECE = 32 * _EVAL_BLOCK
+_REPRODUCING_CHUNK = 32 * _EVAL_BLOCK
 
 
 @dataclass(frozen=True)
@@ -501,24 +500,21 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     with nothing drawn; a point at which every sample is excluded raises
     SingularEvaluation.
 
-    The stream is ``sample_chunks``'s _MC_CHUNK stream, read in pieces of
-    _MC_PIECE samples, so about two pieces (8 MiB) are held at once, however
-    long the chunk.  A helper thread draws piece k + 1 (``_drawn_ahead``) and
-    then helps evaluate piece k.  The caller and the helper claim the
-    piece's blocks of _EVAL_BLOCK samples one at a time from one shared
-    iterator, and the caller waits for the helper's blocks before it moves
-    to the next piece.  The thread that claims a block evaluates all of it
-    and only reads the piece: the block's (len(fs), width) function values
-    F, then per tile of _POINT_TILE points one kernel evaluation, one
-    near-singular mask and, for each point z_j, the sums F @ K[j] into that
-    block's own slot.  The slots are added in block order after the join.
-    A chunk's pieces are whole blocks of it, except its last, so the blocks
-    and their order are the chunk's: neither the pieces, the thread, the
-    timing nor the tiling changes a bit of any estimate, and no estimate
-    depends on the other points.  The last piece has no draw ahead of it, so
-    the helper joins at once.  When sampling is the slower half, the caller
-    has claimed every block before the helper is free, and the helper only
-    draws.
+    The stream is ``sample_chunks``'s stream in chunks of _REPRODUCING_CHUNK
+    samples, so about two chunks (8 MiB) are held at once.  A helper thread
+    draws chunk k + 1 (``_drawn_ahead``) and then helps evaluate chunk k.
+    The caller and the helper claim the chunk's blocks of _EVAL_BLOCK samples
+    one at a time from one shared iterator, and the caller waits for the
+    helper's blocks before it moves to the next chunk.  The thread that
+    claims a block evaluates all of it and only reads the chunk: the block's
+    (len(fs), width) function values F, then per tile of _POINT_TILE points
+    one kernel evaluation, one near-singular mask and, for each point z_j,
+    the sums F @ K[j] into that block's own slot.  The slots are added in
+    block order after the join, so neither the thread, the timing nor the
+    tiling changes a bit of any estimate, and no estimate depends on the
+    other points.  The last chunk has no draw ahead of it, so the helper
+    joins at once.  When sampling is the slower half, the caller has claimed
+    every block before the helper is free, and the helper only draws.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -558,14 +554,14 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     # Imported on first use so that importing the package stays as cheap as before.
     from concurrent.futures import ThreadPoolExecutor
 
-    pieces = sample_chunks(spec, n, seed, _MC_CHUNK, _MC_PIECE)
+    chunks = sample_chunks(spec, n, seed, _REPRODUCING_CHUNK)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        for w1, w2 in _drawn_ahead(helper, pieces):
+        for w1, w2 in _drawn_ahead(helper, chunks):
             blocks = -(-len(w1) // _EVAL_BLOCK)
             partial = np.empty((len(zs), len(fs), blocks), dtype=np.complex128)
             bad = np.empty((len(zs), blocks), dtype=np.int64)
             claims = iter(range(blocks))
-            # Queued behind the draw of the next piece, if there is one.
+            # Queued behind the draw of the next chunk, if there is one.
             share = helper.submit(evaluate, claims, w1, w2, partial, bad)
             try:
                 evaluate(claims, w1, w2, partial, bad)

@@ -45,8 +45,10 @@ PI_SQ = math.pi**2
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Chunks of 10^4 samples, so that a 25,000- or 30,001-sample stream spans several."""
+    """Chunks of 10^4 samples in both integrators, so that a 25,000- or 30,001-sample stream
+    spans several."""
     monkeypatch.setattr(oracle, "_MC_CHUNK", 10_000)
+    monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", 10_000)
 
 
 def quadrature_norm_sq(spec, a, b):
@@ -637,8 +639,8 @@ class TestEmptyInputs:
 
 # repr((estimate, residual, excluded)) of every report of
 # reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
-# seed=36), row by row.  n spans two full default chunks and a partial one,
-# and a chunk spans many evaluation blocks.  The third case raises the
+# seed=36), row by row.  n spans 19 full chunks of 131,072 samples and a
+# partial one, and a chunk spans 32 evaluation blocks.  The third case raises the
 # near-singular threshold to 0.25, so that samples are excluded inside
 # blocks.  Like
 # GOLDEN_STREAMS these depend on numpy's PCG64 stream and the platform libm
@@ -815,8 +817,8 @@ def test_reproducing_batch_golden_under_a_wide_margin(text, monkeypatch):
 
 
 def test_reproducing_batch_memory_stays_bounded():
-    # Criterion 7's functions and points on fat:2 over three chunks: two
-    # pieces of samples (one drawn ahead) and the block temporaries of two
+    # Criterion 7's functions and points on fat:2 over 3·10^6 samples: two
+    # chunks of samples (one drawn ahead) and the block temporaries of two
     # threads, not a chunk-length array per point or thread.
     fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
     zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
@@ -834,7 +836,7 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     # On 10^5-sample chunks, 24 points may not cost a chunk-length array more
     # than 3 do: each block makes its own function values and evaluates the
     # kernel a few points at a time.  A chunk array is 1.6 MB of complex128.
-    monkeypatch.setattr(oracle, "_MC_CHUNK", 100_000)
+    monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", 100_000)
     chunk_array = 16 * 100_000
     rng = np.random.default_rng(24)
     r2 = rng.uniform(0.5, 0.9, 24)
@@ -855,12 +857,12 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     assert many <= 9 * chunk_array
 
 
-def test_reproducing_batch_holds_two_pieces():
+def test_reproducing_batch_holds_two_chunks():
     # test_reproducing_batch_memory_stays_bounded's case (criterion 7's
     # functions, _GOLDEN_FS, and points, the first three of _GOLDEN_ZS7)
-    # against about two pieces of _MC_PIECE samples (4 MiB each, one drawn
-    # ahead, the drawn one up to a sampler block longer) and the block
-    # temporaries of two threads; two chunks alone were 64 MiB.
+    # against about two chunks of _REPRODUCING_CHUNK samples (4 MiB each,
+    # one drawn ahead) and the block temporaries of two threads; two
+    # 10^6-sample chunks alone were 64 MiB.
     tracemalloc.start()
     try:
         oracle.reproducing_residuals_batch(DomainSpec.fat(2), _GOLDEN_FS, _GOLDEN_ZS7[:3],
@@ -871,30 +873,13 @@ def test_reproducing_batch_holds_two_pieces():
     assert peak <= 24 * 2**20
 
 
-def test_reproducing_batch_memory_does_not_grow_with_the_chunk(monkeypatch):
-    # The integrator holds pieces, not chunks: a 10^6-sample chunk may not
-    # cost a 2.5·10^5-point chunk array (4 MB of complex128) more than
-    # 2.5·10^5-sample chunks of the same samples.
-    peaks = []
-    for chunk in (1_000_000, 250_000):
-        monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-        tracemalloc.start()
-        try:
-            oracle.reproducing_residuals_batch(DomainSpec.fat(2), _GOLDEN_FS, _GOLDEN_ZS7[:3],
-                                               1_000_000, seed=6004)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[0] - peaks[1]) < 16 * 250_000
-
-
-def test_reproducing_batch_draws_the_chunks_in_pieces(monkeypatch):
-    # Each draw returns one piece of a 10^6-sample chunk: the chunk's last
-    # piece is short, and no draw straddles two chunks.
+def test_reproducing_batch_draws_chunks_of_its_constant(monkeypatch):
+    # Each draw returns one chunk of _REPRODUCING_CHUNK samples, the last
+    # one shorter.
     drawn = []
 
-    def recording(rng, spec, n, stop=None):
-        z1, z2 = _fill_uniform(rng, spec, n, stop)
+    def recording(rng, spec, n):
+        z1, z2 = _fill_uniform(rng, spec, n)
         drawn.append(len(z1))
         return z1, z2
 
@@ -902,8 +887,8 @@ def test_reproducing_batch_draws_the_chunks_in_pieces(monkeypatch):
     oracle.reproducing_residuals_batch(
         DomainSpec.fat(2), (Monomial(0, 0),), (Point2C(0.1, 0.5),), 1_500_000, seed=49
     )
-    piece = oracle._MC_PIECE
-    assert drawn == [piece] * 7 + [1_000_000 - 7 * piece] + [piece] * 3 + [500_000 - 3 * piece]
+    chunk = oracle._REPRODUCING_CHUNK
+    assert drawn == [chunk] * 11 + [1_500_000 - 11 * chunk]
 
 
 # Prints one inner-product pin and one reproducing pin, line by line.
@@ -976,7 +961,7 @@ class TestHandOff:
             else:
                 helper_started.set()
 
-        n = 2_000_001  # two full default chunks and a partial one
+        n = 2_000_001  # full chunks and a partial one
         with monkeypatch.context() as m:
             self._patch_kernel(m, on_call)
             batch = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed=37)
@@ -989,14 +974,18 @@ class TestHandOff:
                     (want.estimate, want.residual, want.excluded)
                 )
 
-    def _check_concurrent_batches(self, n, seed, want):
+    @pytest.mark.usefixtures("small_chunks")
+    def test_concurrent_batches_under_short_switch_interval(self):
         # Three callers, each with its own helper: six threads on the
         # machine's cores, switching every microsecond.  A point claimed
         # twice or lost, or a buffer shared between threads, changes bits.
+        n = 30_001
+        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
+                for z in self.ZS]
         results = {}
 
         def run(key):
-            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed)
+            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, 40)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1014,23 +1003,6 @@ class TestHandOff:
             for j in range(len(self.ZS)):
                 for i in range(len(self.FS)):
                     assert repr(batch[i][j]) == repr(want[j][i][0])
-
-    @pytest.mark.usefixtures("small_chunks")
-    def test_concurrent_batches_under_short_switch_interval(self):
-        n = 30_001
-        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
-                for z in self.ZS]
-        self._check_concurrent_batches(n, 40, want)
-
-    @pytest.mark.usefixtures("small_chunks")
-    def test_concurrent_batches_on_pieces(self, monkeypatch):
-        # Pieces of one evaluation block, three per 10^4-sample chunk, give
-        # the bits of one-point batches on whole chunks.
-        n = 30_001
-        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
-                for z in self.ZS]
-        monkeypatch.setattr(oracle, "_MC_PIECE", oracle._EVAL_BLOCK)
-        self._check_concurrent_batches(n, 40, want)
 
     @pytest.mark.usefixtures("small_chunks")
     def test_at_most_one_thread_besides_the_caller(self, monkeypatch):
