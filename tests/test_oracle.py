@@ -649,28 +649,28 @@ _GOLDEN_FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
 _GOLDEN_ZS = (Point2C(0.05, 0.6), Point2C(0.1 + 0.05j, 0.7j))
 GOLDEN_REPRODUCING = {
     ("fat:2", None): (
-        "((0.9993658982672855+0.0005658822750252613j), 0.0008498869081350145, 0)",
-        "((0.9990508827071046-0.0004668059994034561j), 0.0010577010337293343, 0)",
-        "((0.050327190602908564+0.0005837521946421383j), 0.0006691937801423299, 0)",
-        "((0.09861266698377938+0.04949033083977001j), 0.0014779903757417934, 0)",
-        "((0.5998296082090967-0.00046628488572887736j), 0.0004964422998359619, 0)",
-        "((-9.312276411170178e-05+0.6987749858296193j), 0.001228548561038295, 0)",
+        "((0.999046261695239-0.00032046066176134755j), 0.0010061370630808017, 0)",
+        "((0.9979809072253627+0.0005349187089258959j), 0.0020887493046681054, 0)",
+        "((0.04990350319160262-0.0002311210616481938j), 0.00025045674111165363, 0)",
+        "((0.09893129495031806+0.04953781645146533j), 0.0011643642538964282, 0)",
+        "((0.5995310281974346-0.0008090255041212342j), 0.0009351239585851676, 0)",
+        "((-0.0005113785330925443+0.6979804195470412j), 0.0020833178370285137, 0)",
     ),
     ("thin:3", None): (
-        "((0.9990129129829481-0.0012418296925923145j), 0.0015863422596136864, 0)",
-        "((0.9977086047454038-0.0001441932924542369j), 0.0022959276814339797, 0)",
-        "((0.04924750628864647+2.7357195031269034e-05j), 0.0007529908377574, 0)",
-        "((0.09895345133192922+0.049262247965940476j), 0.001280446085705958, 0)",
-        "((0.5998032783747691-0.0005832484400999322j), 0.0006155307796629525, 0)",
-        "((0.0008844780609589359+0.6971707910141035j), 0.002964241037128203, 0)",
+        "((0.9954558027048939-0.0006577685967124553j), 0.004591556226778779, 0)",
+        "((0.9973052204954209-0.00013179230641785397j), 0.0026980003317884182, 0)",
+        "((0.05102220209562962+0.00034424567507373494j), 0.0010786112409559565, 0)",
+        "((0.09800626991801147+0.04952205777042711j), 0.0020502166750456245, 0)",
+        "((0.5973071519667232-0.00015101057325251493j), 0.0026970789242357113, 0)",
+        "((0.0008597153051718016+0.6967176121149026j), 0.0033931078135215078, 0)",
     ),
     ("fat:2", 0.25): (
-        "((0.9956868384963495+0.0003278500981621821j), 0.004325603754788144, 17374)",
-        "((0.9964817050591861-0.0005133800047656062j), 0.00355555316650586, 11058)",
-        "((0.0505292767793994+0.0005767102964638004j), 0.0007827698737552178, 17374)",
-        "((0.09886858676052429+0.049653644541773914j), 0.0011832404750953777, 11058)",
-        "((0.6034975886857653-0.0004547598026992692j), 0.0035270289328193385, 17374)",
-        "((-8.064855597213686e-05+0.7015938526627244j), 0.0015958917569980577, 11058)",
+        "((0.9955590812411305-0.0002975870142051339j), 0.004450878278935842, 17397)",
+        "((0.9955581452391405+0.0003621472304098623j), 0.004456593355138354, 11034)",
+        "((0.05017301153224839-0.0002172558693573233j), 0.0002777284700226829, 17397)",
+        "((0.0992203410575721+0.04966565443416168j), 0.000848324833954271, 11034)",
+        "((0.603220225532715-0.0007790463874914833j), 0.0033131202446354886, 17397)",
+        "((-0.0004951862743988982+0.7007875340170204j), 0.0009302791378492084, 11034)",
     ),
 }
 
@@ -699,73 +699,73 @@ _GOLDEN_ZS7 = (
 )
 GOLDEN_REPRODUCING_SEVEN = {
     ('fat:3', None): (
-        "((0.9997040532308827-2.2725052398971985e-05j), 0.0002968179882646629, 0)",
-        "((0.9999298866458047-0.00018185941033713432j), 0.00019490697156510631, 0)",
-        "((0.9997667593536353-0.0007937857884571747j), 0.0008273433852235595, 0)",
-        "((0.9996870776735499-0.0004433700388557509j), 0.0005426761223288547, 0)",
-        "((1.0007746737294771+0.00015067311384245734j), 0.0007891905817842842, 0)",
-        "((0.9986734284700268+0.00023324799426441975j), 0.0013469211747402835, 0)",
-        "((0.9994324891210234-0.0001363235545531463j), 0.0005836546147189644, 0)",
-        "((0.10036010031700997-0.000665654673683711j), 0.0007568146291580541, 0)",
-        "((0.20012272523054941-0.0005605831715215845j), 0.0005738597166613129, 0)",
-        "((0.14988732046550232-0.00050542199014053j), 0.0005178301513162653, 0)",
-        "((0.050332474044534795-0.0006030652622472386j), 0.0006886411988972584, 0)",
-        "((0.10059285993409643+0.050296638393367635j), 0.0006629307941833362, 0)",
-        "((-0.09907553358879011+0.09888354867113089j), 0.001449517752629793, 0)",
-        "((-0.0006012041813864103+0.3020481733417533j), 0.0021345867294597157, 0)",
-        "((0.5002704748653403+0.0005263936756615388j), 0.0005918166562013099, 0)",
-        "((0.6003449431559377+0.0004746802362745303j), 0.000586776880541403, 0)",
-        "((0.7503338998566426+1.3536354447002951e-05j), 0.000334174127002133, 0)",
-        "((0.600289498541629+0.00025115360265566414j), 0.00038325909999930853, 0)",
-        "((0.0003061028294071083+0.7008383110776143j), 0.0008924485447475126, 0)",
-        "((0.599826218936859-0.3991741802150483j), 0.0008439064966713626, 0)",
-        "((-0.799128827696055-0.00010400799079627901j), 0.0008773590173414957, 0)",
+        "((1.0000550796840812-0.0004073551204827677j), 0.0004110619974918874, 0)",
+        "((0.9998728837980423-0.0006522609778397545j), 0.0006645321000618603, 0)",
+        "((0.9995788819385173-0.001223443215138771j), 0.0012938909236778985, 0)",
+        "((1.0000024943795818-0.0007983140571058318j), 0.0007983179540147342, 0)",
+        "((1.0008889990414085-0.00038016334280157894j), 0.0009668730334616245, 0)",
+        "((0.9987727356845562-0.00019953062593865072j), 0.0012433785307175427, 0)",
+        "((0.9986441971769621-0.000439356086034763j), 0.0014252140419226207, 0)",
+        "((0.09999348249764552-9.784977011112403e-05j), 9.806658629594787e-05, 0)",
+        "((0.1998226967934412-0.00010478584886998848j), 0.00020595266732781591, 0)",
+        "((0.14978205979805007+0.00012646992848043163j), 0.0002519773292100328, 0)",
+        "((0.04995040358260352-5.113439511908252e-06j), 4.98593209160358e-05, 0)",
+        "((0.10002444419187696+0.05013031389091748j), 0.0001325866836547699, 0)",
+        "((-0.09956940324178741+0.1000368673979322j), 0.00043217215691606877, 0)",
+        "((0.00013710468532943178+0.2993342260576711j), 0.0006797445380607318, 0)",
+        "((0.4994270162812564+0.0004339263757791701j), 0.0007187506115072743, 0)",
+        "((0.5993206688947246+0.00021488380106341278j), 0.0007125067007082554, 0)",
+        "((0.7491308706761766-0.00040882342813255024j), 0.0009604802845034532, 0)",
+        "((0.5994227141014425+9.141795101980591e-05j), 0.0005844794696496389, 0)",
+        "((5.3646250431538924e-05+0.7008419064590102j), 0.0008436138962277634, 0)",
+        "((0.5985130542019393-0.39900755239665237j), 0.0017877248255144544, 0)",
+        "((-0.7988317682089878+0.0006333573344682543j), 0.0013288743472038094, 0)",
     ),
     ('thin:3', None): (
-        "((1.0077075842214203+0.001951835706680963j), 0.00795088153327424, 0)",
-        "((1.0124165265361427+0.008609814585540183j), 0.015109567777408973, 0)",
-        "((1.000305710117019+0.0006221724028740534j), 0.0006932223124985393, 0)",
-        "((1.0009285081330974+0.001512596093414705j), 0.0017748448650632756, 0)",
-        "((1.0002438500879947+0.00042244656758477897j), 0.00048777450515495704, 0)",
-        "((0.9975001673850991+0.0012190101550122526j), 0.0027812135589604554, 0)",
-        "((1.0021997415057382-0.0032810900594558495j), 0.003950242355897595, 0)",
-        "((0.10271555979018406-0.000853653641644298j), 0.002846575049767178, 0)",
-        "((0.20456802664898557-0.003069157337274847j), 0.0055033257423843535, 0)",
-        "((0.15000156012234941-0.0006650160490665778j), 0.0006650178790813568, 0)",
-        "((0.050645625885056854-0.0010177202672588925j), 0.001205233307640041, 0)",
-        "((0.100007304554531+0.050442810098179115j), 0.00044287034170995405, 0)",
-        "((-0.09855023908563681+0.09958943162630574j), 0.00150677572926204, 0)",
-        "((0.00016393393305415727+0.3020805767121236j), 0.0020870251051287847, 0)",
-        "((0.4966259880119393-0.001410656884455653j), 0.0036570356494351323, 0)",
-        "((0.6014615179864198+0.0049441649859449125j), 0.005155657303668685, 0)",
-        "((0.7499108285458044+0.0002230166069754562j), 0.00024018317016437157, 0)",
-        "((0.6001755645590389+0.0006952194233030765j), 0.000717044601770616, 0)",
-        "((-0.0007962484525674707+0.6995076117457708j), 0.0009361932445381775, 0)",
-        "((0.5989722708362161-0.3984085270522937j), 0.001894469154505578, 0)",
-        "((-0.8010677829487439+0.002094012261568899j), 0.00235054201775443, 0)",
+        "((1.000110027213352+0.008388287192071919j), 0.008389008761728397, 0)",
+        "((0.9969590698500082+0.01147528630744713j), 0.011871371109312228, 0)",
+        "((0.9994906024293492+0.0010452067204606147j), 0.0011627308258926473, 0)",
+        "((1.0002842465086799+0.0023538617873916337j), 0.002370962123661875, 0)",
+        "((1.0001484007412242+0.0001286961465331302j), 0.0001964318663770755, 0)",
+        "((0.9974146447899847+5.241924364656132e-05j), 0.002585886567322316, 0)",
+        "((0.9987950902297109-0.0008829646937308911j), 0.0014937985824445628, 0)",
+        "((0.09593461364609279-0.0023689405281082355j), 0.004705235959253129, 0)",
+        "((0.19059346175889444+0.0032602057984491423j), 0.009955496146833814, 0)",
+        "((0.14937299426081654-0.0005509186635733589j), 0.0008346541624184479, 0)",
+        "((0.0493746545682183-0.00106158040139941j), 0.0012320754269465701, 0)",
+        "((0.10057052340586482+0.050135241260529456j), 0.0005863336551735595, 0)",
+        "((-0.09950560756743868+0.09976427430322812j), 0.0005477138682674549, 0)",
+        "((-4.751224007297834e-06+0.3006431845469116j), 0.0006432020953910484, 0)",
+        "((0.49080522188413694+0.0003410544975557619j), 0.00920110117161295, 0)",
+        "((0.5872393241599755+0.012319232650385946j), 0.017736920279138653, 0)",
+        "((0.7489446227811778+0.00017896328027492426j), 0.0010704433332482653, 0)",
+        "((0.5993879543435431+0.0006960277356858628j), 0.0009268519269180703, 0)",
+        "((-0.0002812531257488447+0.7006260924846575j), 0.0006863636937426844, 0)",
+        "((0.5984459046266976-0.398999184871798j), 0.0018484705434921264, 0)",
+        "((-0.7997165489529777+0.00022299293875004852j), 0.000360652667798857, 0)",
     ),
     ('fat:3', 0.25): (
-        "((0.99599317462798+0.00016118885751822067j), 0.004010066260007605, 28162)",
-        "((0.9975961727548245+2.8893140209147274e-05j), 0.0024040008814888683, 17281)",
-        "((0.9985409319440113-0.0006589190507429801j), 0.0016009540616266091, 9417)",
-        "((0.997371443856972-0.0002482012234840968j), 0.0026402483300609126, 17289)",
-        "((0.9992840326084083-4.827541237403991e-06j), 0.0007159836666971413, 11365)",
-        "((0.9971948991494489+0.0004188899347588966j), 0.002836205133484653, 10506)",
-        "((0.99819034158388-0.0002560223792189232j), 0.001827679140794394, 7997)",
-        "((0.10091407513976783-0.0005864676595808467j), 0.0010860376038037542, 28162)",
-        "((0.20087734259916573-0.0005080702977764986j), 0.0010138370006039243, 17281)",
-        "((0.1502340553994463-0.00047039706314799167j), 0.0005254096754231113, 9417)",
-        "((0.050538283157805675-0.0005523317414794319j), 0.0007712451689462616, 17289)",
-        "((0.10090915576897576+0.05037051216647259j), 0.000981755304424735, 11365)",
-        "((-0.09934192302917393+0.09914189323331331j), 0.001081393787001353, 10506)",
-        "((-0.0006177066538826035+0.3025799080282489j), 0.002652826218295139, 7997)",
-        "((0.5054069365000786+0.0005639815021275981j), 0.0054362705461211665, 28162)",
-        "((0.6042389293941812+0.000491727440137698j), 0.004267354951751513, 17281)",
-        "((0.7530583764836029+1.5759910048802808e-05j), 0.0030584170889889598, 9417)",
-        "((0.6041891747608034+0.00026894621157313824j), 0.004197799094915289, 17289)",
-        "((0.0003217321742242105+0.7038641485739501j), 0.0038775192834455117, 11365)",
-        "((0.6022440058994863-0.40076176347621323j), 0.002369777641598901, 10506)",
-        "((-0.801600782544973-0.00010894517799157232j), 0.0016044855275438856, 7997)",
+        "((0.9957675835406522-0.0005154314592009164j), 0.004263686043142968, 28242)",
+        "((0.9972405118178382-0.0007390601521592491j), 0.002856743764498328, 17401)",
+        "((0.9980725530621596-0.0012898992819446917j), 0.002319243811191878, 9513)",
+        "((0.9973465052287855-0.0008599972891270098j), 0.00278937803787301, 17391)",
+        "((0.9991460036026234-0.00027967800701329267j), 0.0008986265266166687, 11493)",
+        "((0.9971727283626752-0.0002975863860630017j), 0.002842889826987869, 10604)",
+        "((0.9976306272452744-0.00041179941005813504j), 0.002404892098402793, 8084)",
+        "((0.10050815262241762-1.7131028859663637e-06j), 0.0005081555100472663, 28242)",
+        "((0.200524194186331-4.54626456406765e-05j), 0.0005261619495287094, 17401)",
+        "((0.15006136230299527+0.00016663766043266523j), 0.00017757658095412363, 9513)",
+        "((0.050106832687227223+5.537123989316819e-05j), 0.00012032953613928689, 17391)",
+        "((0.10032549008348907+0.0502956302449136j), 0.00043970562443228705, 11493)",
+        "((-0.09989202093082136+0.10028465065601123j), 0.0003044428934107497, 10604)",
+        "((0.0001634680914207013+0.29987289545975715j), 0.0002070685419446188, 8084)",
+        "((0.504561319032542+0.00047564042355223527j), 0.004586051147681045, 28242)",
+        "((0.6032441716208836+0.00022145468421600213j), 0.003251721341521748, 17401)",
+        "((0.7518792014254685-0.00040519346542849293j), 0.0019223890714183639, 9513)",
+        "((0.6033470370177224+9.790277489195504e-05j), 0.0033484685680674705, 17391)",
+        "((6.347521426349995e-05+0.7038971595030291j), 0.0038976763968903657, 11493)",
+        "((0.6009558220870301-0.40061463438358685j), 0.0011363851844959293, 10604)",
+        "((-0.8013219685551278+0.0006438368685924933j), 0.0014704172108981953, 8084)",
     ),
 }
 
@@ -788,20 +788,20 @@ def test_reproducing_batch_golden_seven_points(key, monkeypatch):
 # points and the chunks' 4096-sample evaluation blocks straddle them.
 GOLDEN_REPRODUCING_MARGIN = {
     "fat:2": (
-        "((0.999508470319066+0.0007163339624856939j), 0.0008687553010195431, 0)",
-        "((0.9991268117490895+0.0001660022225795276j), 0.0008888275757589601, 0)",
-        "((0.04767945408108494+0.00020643198519249839j), 0.0023297097515149537, 0)",
-        "((0.0965255181202496+0.048151421925673135j), 0.0039356403836727635, 0)",
-        "((0.5789010604844255-0.00055321686236452j), 0.021106190977499373, 0)",
-        "((-0.0004849787000246824+0.6749528607021203j), 0.025051834091476467, 0)",
+        "((1.00014069974921+0.00022067977153768334j), 0.00026171736853648753, 0)",
+        "((0.9995627353508146-0.0005021190013527327j), 0.0006658257016266838, 0)",
+        "((0.047507526880754096+0.00040717362519706603j), 0.0025255123462813523, 0)",
+        "((0.09606926684555833+0.04787484661024398j), 0.004468438212778432, 0)",
+        "((0.5793983544632542-4.251630182014801e-05j), 0.02060168940785292, 0)",
+        "((0.000543218491575187+0.6747708389672418j), 0.025235008475259786, 0)",
     ),
     "thin:3": (
-        "((0.9970359934472994+3.4037067676852125e-05j), 0.00296420197800824, 0)",
-        "((0.9960191571671838+0.0010550042044268598j), 0.004118269482554823, 0)",
-        "((0.037994599112930155-0.0006470171144965766j), 0.012022823362493062, 0)",
-        "((0.07803807270067856+0.03902541841732461j), 0.0245513276955744, 0)",
-        "((0.575326695195527-0.000565820827864524j), 0.02467979179781857, 0)",
-        "((1.9701215585129806e-05+0.6718685628638779j), 0.02813144403477157, 0)",
+        "((0.9990489718781042-0.0017919507043716594j), 0.0020286798208526717, 0)",
+        "((1.0013030576850301+0.0006582122497797814j), 0.0014598639307402143, 0)",
+        "((0.03935355001978551-0.0004214919865664657j), 0.010654790128198161, 0)",
+        "((0.07739225436335072+0.03915390887603237j), 0.025074845073117486, 0)",
+        "((0.577618064162176-0.00026350976668870725j), 0.02238348697691248, 0)",
+        "((-0.0006042188780289266+0.6752562586151513j), 0.02475111751361624, 0)",
     ),
 }
 
