@@ -400,7 +400,7 @@ def _require_keep_share(spec: DomainSpec, n: int) -> None:
 
     With share from ``_keep_share_bound``, a block of m draws is empty with
     probability q = (1 - share)^m.  The cap counts the draws of empty blocks,
-    so it trips at the e = _EMPTY_BLOCKS * _SAMPLE_BLOCK // m + 1st empty block.
+    so it trips at empty block e = _EMPTY_BLOCKS * _SAMPLE_BLOCK // m + 1.
     Until then e / q blocks are drawn on average, and each keeps share * m
     points on average.
     """

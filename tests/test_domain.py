@@ -396,8 +396,9 @@ class TestExactSampler:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_short_empty_blocks_count_their_own_draws(self, monkeypatch, seed):
         # thin:2·10^14 keeps ~7e-4 of its draws, so blocks sized to the few
-        # points still missing are mostly empty; counted as full blocks, 101
-        # of them ended the draw with 0-2 of 20 points.
+        # points still missing are mostly empty.  Each must count its own
+        # draws against the cap: counted as full blocks, 101 of them stop
+        # the draw short of 20 points.
         monkeypatch.setattr(domain, "_EMPTY_BLOCKS", 100)
         z1, z2 = _fill_uniform(np.random.default_rng(seed), DomainSpec.thin(2 * 10**14), 20)
         assert len(z1) == len(z2) == 20

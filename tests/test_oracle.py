@@ -640,11 +640,10 @@ class TestEmptyInputs:
 # repr((estimate, residual, excluded)) of every report of
 # reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
 # seed=36), row by row.  n spans 19 full chunks of 131,072 samples and a
-# partial one, and a chunk spans 32 evaluation blocks.  The third case raises the
-# near-singular threshold to 0.25, so that samples are excluded inside
-# blocks.  Like
-# GOLDEN_STREAMS these depend on numpy's PCG64 stream and the platform libm
-# (recorded with numpy 2.4 on x86-64 glibc).
+# partial one, and a chunk spans 32 evaluation blocks.  The third case
+# raises the near-singular threshold to 0.25, so that samples are excluded
+# inside blocks.  Like GOLDEN_STREAMS these depend on numpy's PCG64 stream
+# and the platform libm (recorded with numpy 2.4 on x86-64 glibc).
 _GOLDEN_FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
 _GOLDEN_ZS = (Point2C(0.05, 0.6), Point2C(0.1 + 0.05j, 0.7j))
 GOLDEN_REPRODUCING = {
