@@ -466,6 +466,42 @@ class TestSampleChunks:
         assert len(calls) == 2
         assert threading.active_count() == before
 
+    def _check_lengths(self, n, seed, chunk):
+        # Every chunk holds chunk points, the last one the rest, and the
+        # chunks are the successive draws of one generator.
+        count = -(-n // chunk)
+        helpers = self._check_stream(n, seed, chunk)
+        assert len(helpers) == count
+        lengths = [len(z1) for z1, _ in sample_chunks(self.SPEC, n, seed, chunk)]
+        assert lengths == [chunk] * (count - 1) + [n - (count - 1) * chunk]
+
+    @pytest.mark.parametrize("n, chunk", [
+        (25_001, 10_000),  # a partial last chunk
+        (25_001, 50_000),  # a chunk longer than the stream
+        (40_000, 4_096),   # a chunk that does not divide the stream
+        (40_000, 40_000),  # a chunk that is the stream
+    ])
+    def test_chunk_lengths(self, n, chunk):
+        self._check_lengths(n, seed=49, chunk=chunk)
+
+    @pytest.mark.parametrize("chunk", [5_000, 16_384, 20_000])
+    def test_chunk_lengths_when_blocks_keep_fewer_points(self, monkeypatch, chunk):
+        # A margin of 0.02 puts about a quarter of thin:3's draws in the band,
+        # so blocks keep fewer points than they draw and each chunk is filled
+        # by more blocks than its length in _SAMPLE_BLOCK.
+        monkeypatch.setattr(domain, "BOUNDARY_MARGIN", 0.02)
+        kept = []
+        inside = domain._inside_moduli
+
+        def counting(spec, r1, r2):
+            keep = inside(spec, r1, r2)
+            kept.append((int(keep.sum()), keep.size))
+            return keep
+
+        monkeypatch.setattr(domain, "_inside_moduli", counting)
+        self._check_lengths(100_001, seed=50, chunk=chunk)
+        assert any(k < drawn for k, drawn in kept)
+
     @pytest.mark.parametrize("n, chunk", [(0, 10), (10, 0)])
     def test_rejects_empty_stream_or_chunk(self, n, chunk):
         with pytest.raises(ValueError):

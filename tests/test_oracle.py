@@ -872,6 +872,21 @@ def test_reproducing_batch_holds_two_chunks():
     assert peak <= 24 * 2**20
 
 
+def test_reproducing_batch_memory_does_not_grow_with_the_samples():
+    # The integrator holds chunks, not the stream: 10^6 samples may not cost
+    # a 2.5·10^5-point array (4 MB of complex128) more than 2.5·10^5 samples.
+    peaks = []
+    for n in (1_000_000, 250_000):
+        tracemalloc.start()
+        try:
+            oracle.reproducing_residuals_batch(DomainSpec.fat(2), _GOLDEN_FS, _GOLDEN_ZS7[:3],
+                                               n, seed=6004)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < 16 * 250_000
+
+
 def test_reproducing_batch_draws_chunks_of_its_constant(monkeypatch):
     # Each draw returns one chunk of _REPRODUCING_CHUNK samples, the last
     # one shorter.
@@ -973,18 +988,17 @@ class TestHandOff:
                     (want.estimate, want.residual, want.excluded)
                 )
 
-    @pytest.mark.usefixtures("small_chunks")
-    def test_concurrent_batches_under_short_switch_interval(self):
+    def _check_concurrent_batches(self, n, seed):
         # Three callers, each with its own helper: six threads on the
         # machine's cores, switching every microsecond.  A point claimed
-        # twice or lost, or a buffer shared between threads, changes bits.
-        n = 30_001
-        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=40)
+        # twice or lost, or a buffer shared between threads, changes bits
+        # against one-point batches run alone.
+        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed)
                 for z in self.ZS]
         results = {}
 
         def run(key):
-            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, 40)
+            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1002,6 +1016,16 @@ class TestHandOff:
             for j in range(len(self.ZS)):
                 for i in range(len(self.FS)):
                     assert repr(batch[i][j]) == repr(want[j][i][0])
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_concurrent_batches_under_short_switch_interval(self):
+        self._check_concurrent_batches(30_001, 40)
+
+    def test_concurrent_batches_on_one_block_chunks(self, monkeypatch):
+        # Chunks of one evaluation block: the helper hands off after every
+        # block, the most hand-offs a stream can have.
+        monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", oracle._EVAL_BLOCK)
+        self._check_concurrent_batches(30_001, 40)
 
     @pytest.mark.usefixtures("small_chunks")
     def test_at_most_one_thread_besides_the_caller(self, monkeypatch):
