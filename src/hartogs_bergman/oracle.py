@@ -402,7 +402,11 @@ def inner_product_mc(spec: DomainSpec, f, g, n: int, seed: int) -> McEstimate:
 def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEstimate]:
     """Estimates of integral of f * conj(g) for every (f, g) on one sample stream.
 
-    Each distinct function is evaluated once per chunk.  Estimates for
+    The stream is ``sample_chunks``'s stream in chunks of _MC_CHUNK samples,
+    read in blocks of _EVAL_BLOCK samples.  Each distinct function is
+    evaluated once per block, and each pair's sum and sums of squares are
+    added to its running totals in block order, so memory holds one chunk
+    and one block's values, however many pairs there are.  Estimates for
     different pairs are correlated but individually unbiased, and each is
     bit-identical to a single-pair call with the same seed.  The caller draws
     each chunk: criterion 8 and ``inner-product`` read one chunk each, so a
@@ -422,20 +426,24 @@ def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEsti
     sq_re = [0.0] * len(pairs)
     sq_im = [0.0] * len(pairs)
     for z1, z2 in sample_chunks(spec, n, seed, _MC_CHUNK):
-        memo = {}
-        for i, (f, g) in enumerate(pairs):
-            for h in (f, g):
-                if h not in memo:
-                    memo[h] = h(z1, z2)
-            # Binding conj(g) first keeps the product's operand order: a
-            # bare temporary on the right lets numpy reuse it for the
-            # result with the operands swapped, which changes the rounding.
-            gc = np.conj(memo[g])
-            vals = memo[f] * gc
-            total[i] += vals.sum()
-            # numpy's sum, not np.dot: BLAS rounds a dot by its thread count.
-            sq_re[i] += float(np.square(vals.real).sum())
-            sq_im[i] += float(np.square(vals.imag).sum())
+        for lo in range(0, len(z1), _EVAL_BLOCK):
+            v1, v2 = z1[lo:lo + _EVAL_BLOCK], z2[lo:lo + _EVAL_BLOCK]
+            memo = {}
+            for i, (f, g) in enumerate(pairs):
+                for h in (f, g):
+                    if h not in memo:
+                        memo[h] = h(v1, v2)
+                # Binding conj(g) first keeps the product's operand order: a
+                # bare temporary on the right lets numpy reuse it for the
+                # result with the operands swapped, which changes the rounding.
+                gc = np.conj(memo[g])
+                vals = memo[f] * gc
+                total[i] += vals.sum()
+                # numpy's sum, not np.dot: BLAS rounds a dot by its thread count.
+                sq_re[i] += float(np.square(vals.real).sum())
+                sq_im[i] += float(np.square(vals.imag).sum())
+        # The block views hold the chunk too: let it go before the next draw.
+        del z1, z2, v1, v2
     out = []
     for t, sr, si in zip(total, sq_re, sq_im):
         mean = t / n
@@ -461,11 +469,12 @@ def _drawn_ahead(helper, stream):
         yield ready
 
 
-# Samples per evaluation block and points per kernel tile in
-# reproducing_residuals_batch: a tile's temporaries are at most 256 KiB of
-# complex128, however many points there are.  Constants, so that no estimate
-# depends on the number of points.  The integrator reads the stream in chunks
-# of 32 blocks (4 MiB of samples), so only the stream's last block is short.
+# Samples per evaluation block in both integrators, inner_products_mc and
+# reproducing_residuals_batch, and points per kernel tile in the latter: a
+# tile's temporaries are at most 256 KiB of complex128, however many points
+# there are.  Constants, so that no estimate depends on the number of pairs
+# or points.  The reproducing integrator reads the stream in chunks of 32
+# blocks (4 MiB of samples), so only its stream's last block is short.
 _EVAL_BLOCK = 4_096
 _POINT_TILE = 4
 _REPRODUCING_CHUNK = 32 * _EVAL_BLOCK
