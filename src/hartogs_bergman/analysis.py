@@ -108,6 +108,8 @@ def thin_nonvanishing(k: int, n: int, seed: int) -> NonvanishingReport:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if n < 1:
+        raise ValueError(f"pair count must be >= 1, got {n}")
     spec = DomainSpec.thin(k)
     z1, z2 = sample_uniform_arrays(spec, 2 * n, seed)
     s = z1[:n] * np.conj(z1[n:])

@@ -233,6 +233,13 @@ class TestChecks:
         assert code == 0
         assert doc["results"]["zero_hits"] == 0
 
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_lqk_thin_mode_names_the_pair_count(self, capsys, pairs):
+        code, out, err = run(capsys, "lqk", "--thin-k", "2", "--pairs", pairs, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"hartogs-bergman lqk: error: pair count must be >= 1, got {pairs}\n"
+
     def test_volume(self, capsys):
         code, doc, _ = run_json(capsys, "volume", "--spec", "fat:2", "--n", "200000", "--seed", "4")
         assert code == 0
