@@ -51,6 +51,16 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", 10_000)
 
 
+def _traced_peak(call, *args, **kwargs):
+    """Peak bytes tracemalloc sees while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def quadrature_norm_sq(spec, a, b):
     """Independent oracle: 2D quadrature of |z1^a z2^b|^2 in the moduli."""
     g = float(spec.gamma)
@@ -539,6 +549,51 @@ class TestInnerProductsBatch:
         for (f, g), est in zip(pairs, batch):
             single = inner_product_mc(spec, f, g, 25_000, seed=12)
             assert repr(est) == repr(single)
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("text", ["fat:2", "thin:3", "classical"])
+    def test_block_sums_match_a_full_array_reference(self, text):
+        # 25,003 samples in chunks of 10^4 end every chunk in a partial
+        # block.  The reference sums each pair's values over the whole
+        # stream at once, with numpy's mean and two-pass variance.
+        spec = DomainSpec.parse(text)
+        n, seed = 25_003, 14
+        pairs = [(parse_function(f), parse_function(g)) for f, g in (
+            ("one", "one"), ("z1", "z2"), ("z2inv", "z2inv"), ("z1", "z1"), ("z2", "z1"),
+            ("z1^2*z2^1", "z1^1*z2^-1"))]
+        z1, z2 = (np.concatenate(c) for c in zip(*sample_chunks(spec, n, seed, oracle._MC_CHUNK)))
+        vol = volume(spec)
+        for (f, g), est in zip(pairs, inner_products_mc(spec, pairs, n, seed)):
+            vals = f(z1, z2) * np.conj(g(z1, z2))
+            var = vals.real.var() + vals.imag.var()
+            assert est.value == pytest.approx(vol * vals.mean(), rel=1e-12)
+            assert est.std_error == pytest.approx(vol * math.sqrt(var / n), rel=1e-12)
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # Criterion 8's fat:2 call, 10 norms and 10 cross pairs on 2·10^5
+        # samples, may not peak 1 MiB above its first pair alone on the same
+        # stream: the functions are evaluated one block at a time, not on
+        # the whole chunk.
+        spec = DomainSpec.fat(2)
+        monomials = acceptance._variance_safe_monomials(spec, 10)
+        cross = [(f, g) for i, f in enumerate(monomials) for g in monomials[i + 1:]
+                 if is_admissible(spec, f.a + g.a, f.b + g.b)][:10]
+        pairs = [(m, m) for m in monomials] + cross
+        assert len(pairs) == 20
+        many, one = (_traced_peak(inner_products_mc, spec, p, 200_000, seed=7100)
+                     for p in (pairs, pairs[:1]))
+        assert many - one < 2**20
+
+    @pytest.mark.usefixtures("small_chunks")
+    def test_holds_one_chunk_at_a_time(self):
+        # Five chunks may not peak a chunk (z1 and z2, 2 · 16 bytes per
+        # sample) above one: the loop lets each chunk go before the next
+        # draw.
+        spec = DomainSpec.classical()
+        pairs = [(Monomial(1, 0), Monomial(0, 1))]
+        one, several = (_traced_peak(inner_products_mc, spec, pairs, n, seed=15)
+                        for n in (10_000, 50_000))
+        assert several - one < 2 * 16 * oracle._MC_CHUNK
 
     def test_constant_pair_is_exact_volume(self):
         spec = DomainSpec.thin(2)
