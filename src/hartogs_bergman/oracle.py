@@ -390,10 +390,6 @@ class McEstimate:
     seed: int
 
 
-# Samples per chunk of inner_products_mc (read at each call).
-_MC_CHUNK = 1_000_000
-
-
 def inner_product_mc(spec: DomainSpec, f, g, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of integral of f * conj(g) over the domain."""
     return inner_products_mc(spec, ((f, g),), n, seed)[0]
@@ -402,16 +398,13 @@ def inner_product_mc(spec: DomainSpec, f, g, n: int, seed: int) -> McEstimate:
 def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEstimate]:
     """Estimates of integral of f * conj(g) for every (f, g) on one sample stream.
 
-    The stream is ``sample_chunks``'s stream in chunks of _MC_CHUNK samples,
-    read in blocks of _EVAL_BLOCK samples.  Each distinct function is
-    evaluated once per block, and each pair's sum and sums of squares are
-    added to its running totals in block order, so memory holds one chunk
-    and one block's values, however many pairs there are.  Estimates for
-    different pairs are correlated but individually unbiased, and each is
-    bit-identical to a single-pair call with the same seed.  The caller draws
-    each chunk: criterion 8 and ``inner-product`` read one chunk each, so a
-    thread drawing ahead would only draw while the caller waited.  Every f and
-    g is a Monomial; one that is not square-integrable raises ValueError.
+    The stream is ``_block_sums``'s: each distinct function is evaluated
+    once per block of _EVAL_BLOCK samples, and each pair's sum and sums of
+    squares are that block's slot, so memory holds two chunks and the
+    blocks' values, however many pairs there are.  Estimates for different
+    pairs are correlated but individually unbiased, and each is
+    bit-identical to a single-pair call with the same seed.  Every f and g
+    is a Monomial; one that is not square-integrable raises ValueError.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -421,31 +414,27 @@ def inner_products_mc(spec: DomainSpec, pairs, n: int, seed: int) -> list[McEsti
         _require_admissible(spec, g)
     if not pairs:
         return []
+
+    functions = {h for pair in pairs for h in pair}
+
+    def block(v1, v2):
+        memo = {h: h(v1, v2) for h in functions}
+        sums = np.empty(len(pairs), dtype=np.complex128)
+        squares = np.empty((len(pairs), 2))
+        for i, (f, g) in enumerate(pairs):
+            # Binding conj(g) first keeps the product's operand order: a
+            # bare temporary on the right lets numpy reuse it for the
+            # result with the operands swapped, which changes the rounding.
+            gc = np.conj(memo[g])
+            vals = memo[f] * gc
+            sums[i] = vals.sum()
+            # numpy's sum, not np.dot: BLAS rounds a dot by its thread count.
+            squares[i] = np.square(vals.real).sum(), np.square(vals.imag).sum()
+        return sums, squares
+
     vol = volume(spec)
-    total = [0.0j] * len(pairs)
-    sq_re = [0.0] * len(pairs)
-    sq_im = [0.0] * len(pairs)
-    for z1, z2 in sample_chunks(spec, n, seed, _MC_CHUNK):
-        for lo in range(0, len(z1), _EVAL_BLOCK):
-            v1, v2 = z1[lo:lo + _EVAL_BLOCK], z2[lo:lo + _EVAL_BLOCK]
-            memo = {}
-            for i, (f, g) in enumerate(pairs):
-                for h in (f, g):
-                    if h not in memo:
-                        memo[h] = h(v1, v2)
-                # Binding conj(g) first keeps the product's operand order: a
-                # bare temporary on the right lets numpy reuse it for the
-                # result with the operands swapped, which changes the rounding.
-                gc = np.conj(memo[g])
-                vals = memo[f] * gc
-                total[i] += vals.sum()
-                # numpy's sum, not np.dot: BLAS rounds a dot by its thread count.
-                sq_re[i] += float(np.square(vals.real).sum())
-                sq_im[i] += float(np.square(vals.imag).sum())
-        # The block views hold the chunk too: let it go before the next draw.
-        del z1, z2, v1, v2
     out = []
-    for t, sr, si in zip(total, sq_re, sq_im):
+    for t, (sr, si) in zip(*_block_sums(spec, n, seed, block)):
         mean = t / n
         var = max(sr / n - mean.real**2, 0.0) + max(si / n - mean.imag**2, 0.0)
         out.append(McEstimate(vol * mean, vol * math.sqrt(var / n), n, seed))
@@ -460,8 +449,8 @@ def _drawn_ahead(helper, stream):
     interpreter lock, so each draw overlaps the caller's work.  It runs
     tasks in order: a task the caller submits on receiving item k runs as
     soon as the draw of item k + 1 is done (at once after the last item).
-    The reproducing integrator's items are its chunks of _REPRODUCING_CHUNK
-    samples, so one 4 MiB chunk is in flight beside the one being evaluated.
+    ``_block_sums``'s items are its chunks of _CHUNK samples, so one 4 MiB
+    chunk is in flight beside the one being evaluated.
     """
     ahead = helper.submit(next, stream, None)
     while (ready := ahead.result()) is not None:
@@ -469,15 +458,64 @@ def _drawn_ahead(helper, stream):
         yield ready
 
 
-# Samples per evaluation block in both integrators, inner_products_mc and
-# reproducing_residuals_batch, and points per kernel tile in the latter: a
-# tile's temporaries are at most 256 KiB of complex128, however many points
-# there are.  Constants, so that no estimate depends on the number of pairs
-# or points.  The reproducing integrator reads the stream in chunks of 32
-# blocks (4 MiB of samples), so only its stream's last block is short.
+# Samples per evaluation block in both integrators, and points per kernel
+# tile in the reproducing one: a tile's temporaries are at most 256 KiB of
+# complex128, however many points there are.  The stream is read in chunks
+# of 32 blocks (4 MiB of samples), which end on the sampler's 16,384-point
+# blocks, so only a stream's last block is short.  Constants, so that no
+# estimate depends on the number of pairs or points.
 _EVAL_BLOCK = 4_096
 _POINT_TILE = 4
-_REPRODUCING_CHUNK = 32 * _EVAL_BLOCK
+_CHUNK = 32 * _EVAL_BLOCK
+
+
+def _block_sums(spec: DomainSpec, n: int, seed: int, block) -> list[np.ndarray]:
+    """The sums, in block order, of the arrays ``block(v1, v2)`` returns on each block of a stream.
+
+    The stream is ``sample_chunks(spec, n, seed, _CHUNK)``, so about two
+    chunks (8 MiB) are held at once.  A helper thread draws chunk k + 1
+    (``_drawn_ahead``) and then helps evaluate chunk k.  The caller and the
+    helper claim the chunk's blocks of _EVAL_BLOCK samples one at a time
+    from one shared iterator, and the caller waits for the helper's blocks
+    before it moves to the next chunk.  The thread that claims a block
+    calls ``block`` on it, which only reads the samples and returns a tuple
+    of arrays, that block's own slot.  The slots are added in block order
+    after the join, so neither the thread nor the timing changes a bit of
+    any sum.  The last chunk has no draw ahead of it, so the helper joins
+    at once.  When sampling is the slower half, the caller has claimed
+    every block before the helper is free, and the helper only draws.
+    """
+
+    def evaluate(claims, w1, w2, slots):
+        # Each block writes only its own slot, so the two threads share no
+        # cell and need no lock.
+        for b in claims:
+            lo = b * _EVAL_BLOCK
+            slots[b] = block(w1[lo:lo + _EVAL_BLOCK], w2[lo:lo + _EVAL_BLOCK])
+
+    # Imported on first use so that importing the package stays as cheap as before.
+    from concurrent.futures import ThreadPoolExecutor
+
+    sums = None
+    chunks = sample_chunks(spec, n, seed, _CHUNK)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
+        for w1, w2 in _drawn_ahead(helper, chunks):
+            slots = [None] * -(-len(w1) // _EVAL_BLOCK)
+            claims = iter(range(len(slots)))
+            # Queued behind the draw of the next chunk, if there is one.
+            share = helper.submit(evaluate, claims, w1, w2, slots)
+            try:
+                evaluate(claims, w1, w2, slots)
+            finally:
+                # After an error, leave the helper no further block to claim.
+                for _ in claims:
+                    pass
+            share.result()
+            for slot in slots:
+                sums = [total + part for total, part in zip(sums or [0] * len(slot), slot)]
+            # Let the chunk go before the stream draws the one after the next.
+            del w1, w2
+    return sums
 
 
 @dataclass(frozen=True)
@@ -509,21 +547,11 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     with nothing drawn; a point at which every sample is excluded raises
     SingularEvaluation.
 
-    The stream is ``sample_chunks``'s stream in chunks of _REPRODUCING_CHUNK
-    samples, so about two chunks (8 MiB) are held at once.  A helper thread
-    draws chunk k + 1 (``_drawn_ahead``) and then helps evaluate chunk k.
-    The caller and the helper claim the chunk's blocks of _EVAL_BLOCK samples
-    one at a time from one shared iterator, and the caller waits for the
-    helper's blocks before it moves to the next chunk.  The thread that
-    claims a block evaluates all of it and only reads the chunk: the block's
-    (len(fs), width) function values F, then per tile of _POINT_TILE points
-    one kernel evaluation, one near-singular mask and, for each point z_j,
-    the sums F @ K[j] into that block's own slot.  The slots are added in
-    block order after the join, so neither the thread, the timing nor the
-    tiling changes a bit of any estimate, and no estimate depends on the
-    other points.  The last chunk has no draw ahead of it, so the helper
-    joins at once.  When sampling is the slower half, the caller has claimed
-    every block before the helper is free, and the helper only draws.
+    The stream is ``_block_sums``'s.  Each block makes its (len(fs), width)
+    function values F, then per tile of _POINT_TILE points one kernel
+    evaluation, one near-singular mask and, for each point z_j, the sums
+    F @ K[j] into that block's slot, so neither the tiling nor the other
+    points change a bit of any estimate.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -533,59 +561,34 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
         _require_admissible(spec, f)
     if not fs or not zs:
         return [[] for _ in fs]
-    vol = volume(spec)
     # Columns, so that each (point, sample) product broadcasts as z * conj(w).
     z1s = np.array([[z.z1] for z in zs], dtype=np.complex128)
     z2s = np.array([[z.z2] for z in zs], dtype=np.complex128)
-    acc = np.zeros((len(zs), len(fs)), dtype=np.complex128)
-    excluded = np.zeros(len(zs), dtype=np.int64)
 
-    def evaluate(claims, w1, w2, partial, bad):
-        # Each block b writes only partial[:, :, b] and bad[:, b], so the two
-        # threads share no cell and need no lock.
-        for b in claims:
-            block = slice(b * _EVAL_BLOCK, (b + 1) * _EVAL_BLOCK)
-            v1, v2 = w1[block], w2[block]
-            fblock = np.empty((len(fs), len(v1)), dtype=np.complex128)
-            for i, f in enumerate(fs):
-                fblock[i] = f(v1, v2)
-            v1, v2 = np.conj(v1), np.conj(v2)
-            for t in range(0, len(zs), _POINT_TILE):
-                rows = slice(t, t + _POINT_TILE)
-                num, den = kernel_num_den(spec, z1s[rows] * v1, z2s[rows] * v2)
-                flagged = near_singular(den)
-                bad[rows, b] = np.count_nonzero(flagged, axis=1)
-                if bad[rows, b].any():
-                    num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
-                for j, kvals in enumerate(num / den, t):
-                    partial[j, :, b] = fblock @ kvals
+    def block(v1, v2):
+        fblock = np.empty((len(fs), len(v1)), dtype=np.complex128)
+        for i, f in enumerate(fs):
+            fblock[i] = f(v1, v2)
+        v1, v2 = np.conj(v1), np.conj(v2)
+        sums = np.empty((len(zs), len(fs)), dtype=np.complex128)
+        bad = np.empty(len(zs), dtype=np.int64)
+        for t in range(0, len(zs), _POINT_TILE):
+            rows = slice(t, t + _POINT_TILE)
+            num, den = kernel_num_den(spec, z1s[rows] * v1, z2s[rows] * v2)
+            flagged = near_singular(den)
+            bad[rows] = np.count_nonzero(flagged, axis=1)
+            if bad[rows].any():
+                num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
+            for j, kvals in enumerate(num / den, t):
+                sums[j] = fblock @ kvals
+        return sums, bad
 
-    # Imported on first use so that importing the package stays as cheap as before.
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = sample_chunks(spec, n, seed, _REPRODUCING_CHUNK)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sample_chunks") as helper:
-        for w1, w2 in _drawn_ahead(helper, chunks):
-            blocks = -(-len(w1) // _EVAL_BLOCK)
-            partial = np.empty((len(zs), len(fs), blocks), dtype=np.complex128)
-            bad = np.empty((len(zs), blocks), dtype=np.int64)
-            claims = iter(range(blocks))
-            # Queued behind the draw of the next chunk, if there is one.
-            share = helper.submit(evaluate, claims, w1, w2, partial, bad)
-            try:
-                evaluate(claims, w1, w2, partial, bad)
-            finally:
-                # After an error, leave the helper no further block to claim.
-                for _ in claims:
-                    pass
-            share.result()
-            for b in range(blocks):
-                acc += partial[:, :, b]
-            excluded += bad.sum(axis=1)
+    acc, excluded = _block_sums(spec, n, seed, block)
     for z, bad in zip(zs, excluded):
         if bad == n:
             raise SingularEvaluation(
                 f"all {n} samples are near-singular at evaluation point ({z.z1}, {z.z2})")
+    vol = volume(spec)
     out = []
     for i, f in enumerate(fs):
         row = []

@@ -30,7 +30,8 @@ def test_criterion(number, name, runner):
 
 
 def test_basis_norms_draw_one_stream_per_domain(monkeypatch):
-    # All inner products of a domain share one 2e5-point stream.
+    # All inner products of a domain share one 2e5-point stream, drawn in
+    # one chunk of oracle._CHUNK = 131,072 samples and the rest.
     drawn = []
     original = domain._fill_uniform
 
@@ -40,7 +41,8 @@ def test_basis_norms_draw_one_stream_per_domain(monkeypatch):
 
     monkeypatch.setattr(domain, "_fill_uniform", counting)
     assert criterion_8_basis_norms().passed
-    assert drawn == [(text, 200_000) for text in ("classical", "fat:2", "fat:3", "thin:2", "thin:3")]
+    assert drawn == [(text, n) for text in ("classical", "fat:2", "fat:3", "thin:2", "thin:3")
+                     for n in (131_072, 68_928)]
 
 
 def test_criterion_3_sides_match_the_scalar_kernels(monkeypatch):

@@ -1,7 +1,7 @@
 """Modules of the package reach each other through public names only, only
-``oracle`` may start a thread, only ``kernels`` reads the near-singular
-threshold, no module takes ``hypot``, and every name the benchmark's tracer
-rebinds exists."""
+``oracle`` may start a thread, and only in one place, only ``kernels`` reads
+the near-singular threshold, no module takes ``hypot``, and every name the
+benchmark's tracer rebinds exists."""
 
 import ast
 import importlib
@@ -16,8 +16,8 @@ PACKAGE_DIR = Path(hartogs_bergman.__file__).parent
 # defining module, name) triples: none.
 ALLOWED = set()
 
-# Modules allowed to import a thread library: oracle's reproducing
-# integrator is the one place with a helper thread.
+# Modules allowed to import a thread library: oracle's stream engine, which
+# both Monte Carlo integrators read, is the one place with a helper thread.
 THREAD_MODULES = {"concurrent", "threading"}
 THREAD_IMPORTERS = {"oracle"}
 
@@ -59,6 +59,22 @@ def test_only_oracle_imports_a_thread_library():
         if any(name.split(".")[0] in THREAD_MODULES for name in imported_modules(path))
     }
     assert found <= THREAD_IMPORTERS
+
+
+def calls_to(path: Path, name: str) -> int:
+    # Calls of a bare or dotted name.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sum(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(tree))
+
+
+def test_oracle_has_one_stream_engine():
+    # Both integrators read their samples through one engine: one stream and
+    # one helper thread.
+    path = PACKAGE_DIR / "oracle.py"
+    assert calls_to(path, "sample_chunks") == 1
+    assert calls_to(path, "ThreadPoolExecutor") == 1
 
 
 def names_used(path: Path):

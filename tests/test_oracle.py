@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,10 +46,39 @@ PI_SQ = math.pi**2
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Chunks of 10^4 samples in both integrators, so that a 25,000- or 30,001-sample stream
-    spans several."""
-    monkeypatch.setattr(oracle, "_MC_CHUNK", 10_000)
-    monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", 10_000)
+    """Chunks of 10^4 samples in the one stream both integrators read, so that a 25,000- or
+    30,001-sample stream spans several."""
+    monkeypatch.setattr(oracle, "_CHUNK", 10_000)
+
+
+class _Synchronous:
+    """A stand-in for ThreadPoolExecutor that runs each task at once on the submitting thread.
+
+    The stream is still drawn one chunk ahead, but every block is evaluated
+    on the caller, so a memory peak does not depend on how the two threads'
+    blocks overlap."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def synchronous_helper(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Synchronous)
 
 
 def _traced_peak(call, *args, **kwargs):
@@ -561,7 +591,7 @@ class TestInnerProductsBatch:
         pairs = [(parse_function(f), parse_function(g)) for f, g in (
             ("one", "one"), ("z1", "z2"), ("z2inv", "z2inv"), ("z1", "z1"), ("z2", "z1"),
             ("z1^2*z2^1", "z1^1*z2^-1"))]
-        z1, z2 = (np.concatenate(c) for c in zip(*sample_chunks(spec, n, seed, oracle._MC_CHUNK)))
+        z1, z2 = (np.concatenate(c) for c in zip(*sample_chunks(spec, n, seed, oracle._CHUNK)))
         vol = volume(spec)
         for (f, g), est in zip(pairs, inner_products_mc(spec, pairs, n, seed)):
             vals = f(z1, z2) * np.conj(g(z1, z2))
@@ -569,31 +599,39 @@ class TestInnerProductsBatch:
             assert est.value == pytest.approx(vol * vals.mean(), rel=1e-12)
             assert est.std_error == pytest.approx(vol * math.sqrt(var / n), rel=1e-12)
 
-    def test_memory_does_not_grow_with_the_pairs(self):
+    def test_memory_does_not_grow_with_the_pairs(self, monkeypatch):
         # Criterion 8's fat:2 call, 10 norms and 10 cross pairs on 2·10^5
         # samples, may not peak 1 MiB above its first pair alone on the same
         # stream: the functions are evaluated one block at a time, not on
-        # the whole chunk.
+        # the whole chunk.  The two are compared with every block on the
+        # caller, as in test_reproducing_batch_memory_does_not_grow_with_points;
+        # on two threads the call stays far below the 46 MiB that
+        # whole-chunk function values took.
         spec = DomainSpec.fat(2)
         monomials = acceptance._variance_safe_monomials(spec, 10)
         cross = [(f, g) for i, f in enumerate(monomials) for g in monomials[i + 1:]
                  if is_admissible(spec, f.a + g.a, f.b + g.b)][:10]
         pairs = [(m, m) for m in monomials] + cross
         assert len(pairs) == 20
+        assert _traced_peak(inner_products_mc, spec, pairs, 200_000, seed=7100) <= 12 * 2**20
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Synchronous)
         many, one = (_traced_peak(inner_products_mc, spec, p, 200_000, seed=7100)
                      for p in (pairs, pairs[:1]))
         assert many - one < 2**20
 
-    @pytest.mark.usefixtures("small_chunks")
-    def test_holds_one_chunk_at_a_time(self):
-        # Five chunks may not peak a chunk (z1 and z2, 2 · 16 bytes per
-        # sample) above one: the loop lets each chunk go before the next
-        # draw.
+    @pytest.mark.usefixtures("small_chunks", "synchronous_helper")
+    def test_holds_about_two_chunks(self):
+        # Five chunks may not peak 1.5 chunks (z1 and z2, 2 · 16 bytes per
+        # sample) above one: the engine holds the chunk being evaluated and
+        # the one drawn ahead, and lets each go before the draw after it, so
+        # a third chunk held would show as two.  Every block runs on the
+        # caller, so the peak does not depend on how the helper's blocks
+        # overlap the caller's.
         spec = DomainSpec.classical()
         pairs = [(Monomial(1, 0), Monomial(0, 1))]
         one, several = (_traced_peak(inner_products_mc, spec, pairs, n, seed=15)
                         for n in (10_000, 50_000))
-        assert several - one < 2 * 16 * oracle._MC_CHUNK
+        assert several - one < 1.5 * 2 * 16 * oracle._CHUNK
 
     def test_constant_pair_is_exact_volume(self):
         spec = DomainSpec.thin(2)
@@ -891,7 +929,10 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     # On 10^5-sample chunks, 24 points may not cost a chunk-length array more
     # than 3 do: each block makes its own function values and evaluates the
     # kernel a few points at a time.  A chunk array is 1.6 MB of complex128.
-    monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", 100_000)
+    # The two are compared with every block on the caller: on two threads
+    # the peak moves by about a chunk array with how the helper's blocks
+    # overlap the caller's, whatever the number of points.
+    monkeypatch.setattr(oracle, "_CHUNK", 100_000)
     chunk_array = 16 * 100_000
     rng = np.random.default_rng(24)
     r2 = rng.uniform(0.5, 0.9, 24)
@@ -899,17 +940,15 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     phases = np.exp(2j * np.pi * rng.random((2, 24)))
     zs = [Point2C(complex(a), complex(b)) for a, b in zip(r1 * phases[0], r2 * phases[1])]
     fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-    peaks = []
-    for points in (zs[:3], zs):
-        tracemalloc.start()
-        try:
-            oracle.reproducing_residuals_batch(DomainSpec.fat(3), fs, points, 250_000, seed=6003)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    few, many = peaks
+
+    def peak(points):
+        return _traced_peak(oracle.reproducing_residuals_batch, DomainSpec.fat(3), fs, points,
+                            250_000, seed=6003)
+
+    assert peak(zs) <= 9 * chunk_array
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Synchronous)
+    few, many = peak(zs[:3]), peak(zs)
     assert many - few < chunk_array
-    assert many <= 9 * chunk_array
 
 
 def test_reproducing_batch_holds_two_chunks():
@@ -943,9 +982,9 @@ def test_reproducing_batch_memory_does_not_grow_with_the_samples():
     assert abs(peaks[0] - peaks[1]) < 16 * 250_000
 
 
-def test_reproducing_batch_draws_chunks_of_its_constant(monkeypatch):
-    # Each draw returns one chunk of _REPRODUCING_CHUNK samples, the last
-    # one shorter.
+@pytest.mark.parametrize("integrate", ["reproducing", "inner_products"])
+def test_stream_draws_chunks_of_its_constant(monkeypatch, integrate):
+    # Each draw returns one chunk of _CHUNK samples, the last one shorter.
     drawn = []
 
     def recording(rng, spec, n):
@@ -954,10 +993,12 @@ def test_reproducing_batch_draws_chunks_of_its_constant(monkeypatch):
         return z1, z2
 
     monkeypatch.setattr(domain, "_fill_uniform", recording)
-    oracle.reproducing_residuals_batch(
-        DomainSpec.fat(2), (Monomial(0, 0),), (Point2C(0.1, 0.5),), 1_500_000, seed=49
-    )
-    chunk = oracle._REPRODUCING_CHUNK
+    spec, one = DomainSpec.fat(2), Monomial(0, 0)
+    if integrate == "reproducing":
+        oracle.reproducing_residuals_batch(spec, (one,), (Point2C(0.1, 0.5),), 1_500_000, seed=49)
+    else:
+        inner_products_mc(spec, ((one, one),), 1_500_000, seed=49)
+    chunk = oracle._CHUNK
     assert drawn == [chunk] * 11 + [1_500_000 - 11 * chunk]
 
 
@@ -993,8 +1034,12 @@ def test_pins_do_not_depend_on_the_blas_thread_count():
             *GOLDEN_REPRODUCING[("fat:2", None)])
     assert tuple(outs[0].decode().splitlines()) == want
 
+INTEGRATORS = ["reproducing", "inner_products"]
+
+
 class TestHandOff:
-    """The stream's helper thread shares the evaluation of each chunk's points."""
+    """The stream's helper thread shares the evaluation of each chunk's blocks in both
+    integrators."""
 
     SPEC = DomainSpec.fat(2)
     FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
@@ -1006,21 +1051,48 @@ class TestHandOff:
         Point2C(0.15 - 0.25j, 0.45 + 0.45j),
         Point2C(0.0, 0.2 + 0.1j),
     )
+    PAIRS = tuple((parse_function(f), parse_function(g)) for f, g in (
+        ("one", "one"), ("z1", "z2"), ("z2inv", "z2inv"), ("z1", "z1"), ("z2", "z1"),
+        ("z1^2*z2^1", "z1^1*z2^-1")))
+
+    @classmethod
+    def _run(cls, integrate, n, seed, items=None):
+        # The reprs of one batch's results, item by item: the reproducing
+        # integrator's reports per point of ZS, or the inner products per
+        # pair of PAIRS; items picks some of them.
+        if integrate == "reproducing":
+            zs = cls.ZS if items is None else items
+            reports = oracle.reproducing_residuals_batch(cls.SPEC, cls.FS, zs, n, seed)
+            return [repr(row[j]) for j in range(len(zs)) for row in reports]
+        pairs = cls.PAIRS if items is None else items
+        return [repr(est) for est in inner_products_mc(cls.SPEC, pairs, n, seed)]
+
+    @classmethod
+    def _run_alone(cls, integrate, n, seed):
+        # _run's results from one-item batches.
+        items = cls.ZS if integrate == "reproducing" else cls.PAIRS
+        return [r for item in items for r in cls._run(integrate, n, seed, (item,))]
 
     @staticmethod
-    def _patch_kernel(monkeypatch, on_call):
-        # Wraps oracle.kernel_num_den; on_call(is_caller) runs before each call.
+    def _patch_blocks(monkeypatch, on_call):
+        # Wraps the block function an integrator hands to oracle._block_sums;
+        # on_call(is_caller) runs before each block.
         caller = threading.get_ident()
+        engine = oracle._block_sums
 
-        def patched(*args, **kwargs):
-            on_call(threading.get_ident() == caller)
-            return kernel_num_den(*args, **kwargs)
+        def patched(spec, n, seed, block):
+            def hooked(v1, v2):
+                on_call(threading.get_ident() == caller)
+                return block(v1, v2)
 
-        monkeypatch.setattr(oracle, "kernel_num_den", patched)
+            return engine(spec, n, seed, hooked)
 
-    def test_split_batch_equals_one_point_batches(self, monkeypatch):
-        # The caller's first kernel call waits until the helper has made
-        # one, so the helper evaluates at least one point of the batch.
+        monkeypatch.setattr(oracle, "_block_sums", patched)
+
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_split_batch_equals_one_item_batches(self, monkeypatch, integrate):
+        # The caller's first block waits until the helper has taken one, so
+        # the helper evaluates at least one block of the batch.
         helper_started = threading.Event()
         threads = set()
 
@@ -1033,28 +1105,21 @@ class TestHandOff:
 
         n = 2_000_001  # full chunks and a partial one
         with monkeypatch.context() as m:
-            self._patch_kernel(m, on_call)
-            batch = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed=37)
+            self._patch_blocks(m, on_call)
+            batch = self._run(integrate, n, seed=37)
         assert len(threads) == 2
-        for j, z in enumerate(self.ZS):
-            single = oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed=37)
-            for i in range(len(self.FS)):
-                got, want = batch[i][j], single[i][0]
-                assert repr((got.estimate, got.residual, got.excluded)) == repr(
-                    (want.estimate, want.residual, want.excluded)
-                )
+        assert batch == self._run_alone(integrate, n, seed=37)
 
-    def _check_concurrent_batches(self, n, seed):
+    def _check_concurrent_batches(self, integrate, n, seed):
         # Three callers, each with its own helper: six threads on the
-        # machine's cores, switching every microsecond.  A point claimed
+        # machine's cores, switching every microsecond.  A block claimed
         # twice or lost, or a buffer shared between threads, changes bits
-        # against one-point batches run alone.
-        want = [oracle.reproducing_residuals_batch(self.SPEC, self.FS, (z,), n, seed)
-                for z in self.ZS]
+        # against one-item batches run alone.
+        want = self._run_alone(integrate, n, seed)
         results = {}
 
         def run(key):
-            results[key] = oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, n, seed)
+            results[key] = self._run(integrate, n, seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1069,22 +1134,23 @@ class TestHandOff:
         assert not any(t.is_alive() for t in callers)
         assert sorted(results) == [0, 1, 2]
         for batch in results.values():
-            for j in range(len(self.ZS)):
-                for i in range(len(self.FS)):
-                    assert repr(batch[i][j]) == repr(want[j][i][0])
+            assert batch == want
 
     @pytest.mark.usefixtures("small_chunks")
-    def test_concurrent_batches_under_short_switch_interval(self):
-        self._check_concurrent_batches(30_001, 40)
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_concurrent_batches_under_short_switch_interval(self, integrate):
+        self._check_concurrent_batches(integrate, 30_001, 40)
 
-    def test_concurrent_batches_on_one_block_chunks(self, monkeypatch):
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_concurrent_batches_on_one_block_chunks(self, monkeypatch, integrate):
         # Chunks of one evaluation block: the helper hands off after every
         # block, the most hand-offs a stream can have.
-        monkeypatch.setattr(oracle, "_REPRODUCING_CHUNK", oracle._EVAL_BLOCK)
-        self._check_concurrent_batches(30_001, 40)
+        monkeypatch.setattr(oracle, "_CHUNK", oracle._EVAL_BLOCK)
+        self._check_concurrent_batches(integrate, 30_001, 40)
 
     @pytest.mark.usefixtures("small_chunks")
-    def test_at_most_one_thread_besides_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_at_most_one_thread_besides_the_caller(self, monkeypatch, integrate):
         before = threading.active_count()
         threads = set()
         counts = []
@@ -1093,14 +1159,15 @@ class TestHandOff:
             threads.add(threading.get_ident())
             counts.append(threading.active_count())
 
-        self._patch_kernel(monkeypatch, on_call)
-        oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, 30_001, seed=38)
+        self._patch_blocks(monkeypatch, on_call)
+        self._run(integrate, 30_001, seed=38)
         assert counts and max(counts) <= before + 1
         assert len(threads) <= 2
         assert threading.active_count() == before
 
     @pytest.mark.usefixtures("small_chunks")
-    def test_helper_error_reaches_caller_and_helper_is_joined(self, monkeypatch):
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_helper_error_reaches_caller_and_helper_is_joined(self, monkeypatch, integrate):
         before = threading.active_count()
         helper_failed = threading.Event()
         helpers = []
@@ -1113,9 +1180,9 @@ class TestHandOff:
             helper_failed.set()
             raise RuntimeError("helper evaluation failed")
 
-        self._patch_kernel(monkeypatch, on_call)
+        self._patch_blocks(monkeypatch, on_call)
         with pytest.raises(RuntimeError, match="helper evaluation failed"):
-            oracle.reproducing_residuals_batch(self.SPEC, self.FS, self.ZS, 30_001, seed=39)
+            self._run(integrate, 30_001, seed=39)
         assert len(helpers) == 1
         helpers[0].join(timeout=30.0)
         assert not helpers[0].is_alive()
@@ -1123,9 +1190,9 @@ class TestHandOff:
 
 
 class TestDrawAhead:
-    """The reproducing integrator draws ahead on one helper thread; inner products draw inline."""
+    """Both integrators draw their stream one chunk ahead on one helper thread."""
 
-    SPEC = DomainSpec.thin(3)  # acceptance 1/4: each chunk takes several rounds
+    SPEC = DomainSpec.thin(3)
 
     def test_caller_tasks_run_after_the_next_draw(self, monkeypatch):
         drawn = []
@@ -1154,13 +1221,14 @@ class TestDrawAhead:
             assert z2.tobytes() == e2.tobytes()
 
     @pytest.mark.usefixtures("small_chunks")
-    def test_caller_error_drains_claims_and_joins_helper(self, monkeypatch):
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_caller_error_drains_claims_and_joins_helper(self, monkeypatch, integrate):
         # The helper's second draw waits until the caller has failed, so
-        # every point the caller left unclaimed is still there to drain.
+        # every block the caller left unclaimed is still there to drain.
         caller = threading.get_ident()
         caller_failed = threading.Event()
         helpers = []
-        helper_kernel_calls = []
+        helper_blocks = []
 
         def gated(rng, spec, n):
             if threading.get_ident() != caller and helpers:
@@ -1168,27 +1236,25 @@ class TestDrawAhead:
             helpers.append(threading.current_thread())
             return _fill_uniform(rng, spec, n)
 
-        def failing(*args, **kwargs):
-            if threading.get_ident() != caller:
-                helper_kernel_calls.append(1)
-                return kernel_num_den(*args, **kwargs)
+        def on_call(is_caller):
+            if not is_caller:
+                helper_blocks.append(1)
+                return
             caller_failed.set()
             raise RuntimeError("caller evaluation failed")
 
         monkeypatch.setattr(domain, "_fill_uniform", gated)
-        monkeypatch.setattr(oracle, "kernel_num_den", failing)
+        TestHandOff._patch_blocks(monkeypatch, on_call)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="caller evaluation failed"):
-            oracle.reproducing_residuals_batch(
-                TestHandOff.SPEC, TestHandOff.FS, TestHandOff.ZS, 30_001, seed=46
-            )
-        assert helper_kernel_calls == []
+            TestHandOff._run(integrate, 30_001, seed=46)
+        assert helper_blocks == []
         helpers[0].join(timeout=30.0)
         assert not helpers[0].is_alive()
         assert threading.active_count() == before
 
     @pytest.mark.usefixtures("small_chunks")
-    @pytest.mark.parametrize("integrate", ["reproducing", "inner_products"])
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
     def test_helper_draw_error_reaches_caller(self, monkeypatch, integrate):
         calls = []
 
@@ -1201,33 +1267,25 @@ class TestDrawAhead:
         monkeypatch.setattr(domain, "_fill_uniform", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="second chunk failed"):
-            if integrate == "reproducing":
-                oracle.reproducing_residuals_batch(
-                    self.SPEC, (Monomial(0, 0),), (Point2C(0.01, 0.5),), 30_001, seed=47
-                )
-            else:
-                one = Monomial(0, 0)
-                inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=47)
+            TestHandOff._run(integrate, 30_001, seed=47)
         assert len(calls) == 2
-        if integrate == "reproducing":
-            assert calls[1] is not threading.current_thread()
-            calls[1].join(timeout=30.0)
+        assert calls[1] is not threading.current_thread()
+        calls[1].join(timeout=30.0)
         assert threading.active_count() == before
 
     @pytest.mark.usefixtures("small_chunks")
-    def test_inner_products_draw_every_chunk_on_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("integrate", INTEGRATORS)
+    def test_every_chunk_is_drawn_on_one_helper(self, monkeypatch, integrate):
         threads = []
-        counts = []
 
         def recording(rng, spec, n):
             threads.append(threading.current_thread())
-            counts.append(threading.active_count())
             return _fill_uniform(rng, spec, n)
 
         monkeypatch.setattr(domain, "_fill_uniform", recording)
         before = threading.active_count()
-        one = Monomial(0, 0)
-        inner_products_mc(self.SPEC, ((one, one),), 30_001, seed=48)
-        assert threads == [threading.current_thread()] * 4
-        assert counts == [before] * 4
+        TestHandOff._run(integrate, 30_001, seed=48)
+        assert len(threads) == 4 and len(set(threads)) == 1
+        assert threads[0] is not threading.current_thread()
+        threads[0].join(timeout=30.0)
         assert threading.active_count() == before
