@@ -532,17 +532,17 @@ class TestMonteCarlo:
 GOLDEN_INNER_PRODUCTS = {
     ("fat:2", "one", "one", 20_000): "((6.579736267392905+0j), 0.0)",
     ("fat:2", "z1", "z2", 20_000): "((0.015248117574173261+0.0288870277869249j), 0.02319009100598043)",
-    ("fat:2", "z1", "z2", 1_500_000): "((0.00038941514351114556+0.002166050759176426j), 0.002685400422816988)",
+    ("fat:2", "z1", "z2", 1_500_000): "((-0.0011671892468571952+0.0014244238186584372j), 0.0026856574165149594)",
     ("fat:2", "z2inv", "z2inv", 20_000): "((19.26340322844888+4.396356935906103e-18j), 0.6358481905066838)",
     ("fat:2", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.012384374271308046-0.008182871171121372j), 0.016387699402434213)",
     ("thin:3", "one", "one", 20_000): "((2.4674011002723395+0j), 0.0)",
     ("thin:3", "z1", "z2", 20_000): "((0.005718044090314974+0.010832635420096841j), 0.008696284127242661)",
-    ("thin:3", "z1", "z2", 1_500_000): "((0.00014603067881667955+0.0008122690346911595j), 0.0010070251585563707)",
+    ("thin:3", "z1", "z2", 1_500_000): "((-0.0004376959675714476+0.0005341589319969136j), 0.0010071215311931098)",
     ("thin:3", "z2inv", "z2inv", 20_000): "((3.2874470202989023-7.227330181052327e-19j), 0.008017860137984988)",
     ("thin:3", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.003524002026004078-0.0038179806387443707j), 0.004831611434367238)",
     ("classical", "one", "one", 20_000): "((4.934802200544679+0j), 0.0)",
     ("classical", "z1", "z2", 20_000): "((0.011436088180629947+0.02166527084019368j), 0.017392568254485322)",
-    ("classical", "z1", "z2", 1_500_000): "((0.00029206135763335943+0.0016245380693823176j), 0.0020140503171127413)",
+    ("classical", "z1", "z2", 1_500_000): "((-0.0008753919351428956+0.001068317863993827j), 0.0020142430623862197)",
     ("classical", "z2inv", "z2inv", 20_000): "((9.802240530559168-1.8265847668947383e-18j), 0.10289215334615665)",
     ("classical", "z1^2*z2^1", "z1^1*z2^-1", 20_000): "((-0.008228041134924065-0.007125401650517649j), 0.010999846979080264)",
 }
