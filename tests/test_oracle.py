@@ -76,11 +76,6 @@ class _Synchronous:
         return future
 
 
-@pytest.fixture
-def synchronous_helper(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Synchronous)
-
-
 def _traced_peak(call, *args, **kwargs):
     """Peak bytes tracemalloc sees while ``call`` runs."""
     tracemalloc.start()
@@ -619,14 +614,15 @@ class TestInnerProductsBatch:
                      for p in (pairs, pairs[:1]))
         assert many - one < 2**20
 
-    @pytest.mark.usefixtures("small_chunks", "synchronous_helper")
-    def test_holds_about_two_chunks(self):
+    @pytest.mark.usefixtures("small_chunks")
+    def test_holds_about_two_chunks(self, monkeypatch):
         # Five chunks may not peak 1.5 chunks (z1 and z2, 2 · 16 bytes per
         # sample) above one: the engine holds the chunk being evaluated and
         # the one drawn ahead, and lets each go before the draw after it, so
         # a third chunk held would show as two.  Every block runs on the
         # caller, so the peak does not depend on how the helper's blocks
         # overlap the caller's.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _Synchronous)
         spec = DomainSpec.classical()
         pairs = [(Monomial(1, 0), Monomial(0, 1))]
         one, several = (_traced_peak(inner_products_mc, spec, pairs, n, seed=15)
@@ -954,7 +950,7 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
 def test_reproducing_batch_holds_two_chunks():
     # test_reproducing_batch_memory_stays_bounded's case (criterion 7's
     # functions, _GOLDEN_FS, and points, the first three of _GOLDEN_ZS7)
-    # against about two chunks of _REPRODUCING_CHUNK samples (4 MiB each,
+    # against about two chunks of _CHUNK samples (4 MiB each,
     # one drawn ahead) and the block temporaries of two threads; two
     # 10^6-sample chunks alone were 64 MiB.
     tracemalloc.start()
