@@ -561,6 +561,7 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
         _require_admissible(spec, f)
     if not fs or not zs:
         return [[] for _ in fs]
+    vol = volume(spec)
     # Columns, so that each (point, sample) product broadcasts as z * conj(w).
     z1s = np.array([[z.z1] for z in zs], dtype=np.complex128)
     z2s = np.array([[z.z2] for z in zs], dtype=np.complex128)
@@ -588,7 +589,6 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
         if bad == n:
             raise SingularEvaluation(
                 f"all {n} samples are near-singular at evaluation point ({z.z1}, {z.z2})")
-    vol = volume(spec)
     out = []
     for i, f in enumerate(fs):
         row = []
