@@ -43,6 +43,9 @@ from hartogs_bergman.oracle import (
 
 PI_SQ = math.pi**2
 
+# The two Monte Carlo integrators, which read their samples through one engine.
+INTEGRATORS = ["reproducing", "inner_products"]
+
 
 @pytest.fixture
 def small_chunks(monkeypatch):
@@ -978,7 +981,7 @@ def test_reproducing_batch_memory_does_not_grow_with_the_samples():
     assert abs(peaks[0] - peaks[1]) < 16 * 250_000
 
 
-@pytest.mark.parametrize("integrate", ["reproducing", "inner_products"])
+@pytest.mark.parametrize("integrate", INTEGRATORS)
 def test_stream_draws_chunks_of_its_constant(monkeypatch, integrate):
     # Each draw returns one chunk of _CHUNK samples, the last one shorter.
     drawn = []
@@ -1029,9 +1032,6 @@ def test_pins_do_not_depend_on_the_blas_thread_count():
     want = (GOLDEN_INNER_PRODUCTS[("classical", "z1", "z2", 1_500_000)],
             *GOLDEN_REPRODUCING[("fat:2", None)])
     assert tuple(outs[0].decode().splitlines()) == want
-
-INTEGRATORS = ["reproducing", "inner_products"]
-
 
 class TestHandOff:
     """The stream's helper thread shares the evaluation of each chunk's blocks in both
