@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .domain import (DomainError, DomainSpec, PathKind, Point2C, boundary_paths, inside_mask,
                      require_inside, sample_chunks)
-from .kernels import THIN_VARIANT_DEFAULT, ThinVariant, kernel_num_den, pair_invariants
+from .kernels import THIN_VARIANT_DEFAULT, ThinVariant, kernel_values, pair_invariants
 from .oracle import (
     Monomial,
     SeriesTruncation,
@@ -145,8 +145,7 @@ def series_deviations(spec: DomainSpec, n_pairs: int, seed: int, max_mod: float 
         require_inside(spec, Point2C(z1[i], z2[i]), name="z")
         require_inside(spec, Point2C(w1[i], w2[i]), name="w")
     s, t = pair_invariants(z1, z2, w1, w2)
-    num, den = kernel_num_den(spec, s, t, thin_variant)
-    closed = np.divide(num, den, out=np.full(den.shape, complex("nan")), where=den != 0)
+    closed = kernel_values(spec, s, t, thin_variant)[0]
     sums, rows, tails = series_row_sums(spec, s, t, series_tol)
     return [(Point2C(z1, z2), Point2C(w1, w2), value, series,
              SeriesTruncation(used - 1, None, used, tail), abs(series - value) / abs(value))

@@ -27,8 +27,10 @@ kernel, whichever thin variant is asked for.
 
 Numerator and denominator are returned separately: the numerator's zeros
 are what the Lu Qi-Keng analysis scans for, and a flag on the denominator
-(``near_singular``, the one such test, which the reproducing integrator
-shares) replaces silent infinities near t = s^k or t = 1.
+(``near_singular``, the one such test) replaces silent infinities near
+t = s^k or t = 1.  ``kernel_values`` is the one array quotient with its
+flag, which the reproducing integrator, the transformation rules and the
+series comparison read; ``kernel`` is its scalar counterpart.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "diagonal",
     "kernel_factors",
     "kernel_num_den",
+    "kernel_values",
     "fat_quadratic",
 ]
 
@@ -166,6 +169,20 @@ def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
     else:  # a real top array cannot hold the complex product (s and t of mixed dtypes)
         top = top * curve
     return num, top
+
+
+def kernel_values(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
+    """(num / den, near_singular(den)) on arrays of (s, t), the quotient NaN where den == 0.
+
+    Every den == 0 is flagged; only a call with a flagged pair pays for the
+    den == 0 test, and its untrusted quotients raise no floating-point warning.
+    """
+    num, den = kernel_num_den(spec, s, t, thin_variant)
+    flagged = near_singular(den)
+    if not flagged.any():
+        return num / den, flagged
+    with np.errstate(all="ignore"):
+        return np.where(den != 0, num / den, np.nan), flagged
 
 
 def kernel(spec: DomainSpec, z: Point2C, w: Point2C, *,

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import DomainSpec, Point2C, ipow, require_inside, sample_chunks, volume
-from .kernels import PI_SQ, SingularEvaluation, kernel_num_den, near_singular
+from .kernels import PI_SQ, SingularEvaluation, kernel_values
 
 __all__ = [
     "NonconvergentTruncation",
@@ -548,10 +548,10 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     SingularEvaluation.
 
     The stream is ``_block_sums``'s.  Each block makes its (len(fs), width)
-    function values F, then per tile of _POINT_TILE points one kernel
-    evaluation, one near-singular mask and, for each point z_j, the sums
-    F @ K[j] into that block's slot, so neither the tiling nor the other
-    points change a bit of any estimate.
+    function values F, then per tile of _POINT_TILE points one
+    ``kernel_values`` call, whose flagged samples read 0, and, for each
+    point z_j, the sums F @ K[j] into that block's slot, so neither the
+    tiling nor the other points change a bit of any estimate.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -575,13 +575,12 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
         bad = np.empty(len(zs), dtype=np.int64)
         for t in range(0, len(zs), _POINT_TILE):
             rows = slice(t, t + _POINT_TILE)
-            num, den = kernel_num_den(spec, z1s[rows] * v1, z2s[rows] * v2)
-            flagged = near_singular(den)
+            kvals, flagged = kernel_values(spec, z1s[rows] * v1, z2s[rows] * v2)
             bad[rows] = np.count_nonzero(flagged, axis=1)
             if bad[rows].any():
-                num, den = np.where(flagged, 0.0, num), np.where(flagged, 1.0, den)
-            for j, kvals in enumerate(num / den, t):
-                sums[j] = fblock @ kvals
+                kvals[flagged] = 0.0
+            for j, row in enumerate(kvals, t):
+                sums[j] = fblock @ row
         return sums, bad
 
     acc, excluded = _block_sums(spec, n, seed, block)

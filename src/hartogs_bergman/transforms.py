@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainError, DomainSpec, Point2C, inside_mask, require_inside
-from .kernels import (THIN_VARIANT_DEFAULT, SingularEvaluation, ThinVariant, kernel_num_den,
-                      near_singular, pair_invariants)
+from .kernels import (THIN_VARIANT_DEFAULT, SingularEvaluation, ThinVariant, kernel_values,
+                      pair_invariants)
 
 __all__ = [
     "MapKind",
@@ -216,15 +216,13 @@ def covering_residuals(k: int, z1, z2, w1, w2) -> np.ndarray:
     with np.errstate(all="ignore"):  # pairs past a fault are never read
         phi1, phi2, u = power_map(k).evaluate(z1, z2)
         roots, jacs = _branch_roots(k, w2)
-        num_t, den_t = kernel_num_den(fat, *pair_invariants(phi1, phi2, w1, w2))
-        num_b, den_b = kernel_num_den(classical, *pair_invariants(z1, z2, w1, roots))
+        b_fat, flagged_f = kernel_values(fat, *pair_invariants(phi1, phi2, w1, w2))
+        b_classical, flagged_c = kernel_values(classical, *pair_invariants(z1, z2, w1, roots))
     checks = [_inside(classical, "z", z1, z2), _inside(fat, "phi(z)", phi1, phi2),
               _inside(fat, "w", w1, w2)]
     checks += [_inside(classical, f"Phi_{j}(w)", w1, root) for j, root in enumerate(roots, 1)]
-    flagged = near_singular(den_t) | near_singular(den_b).any(axis=0)
-    _raise_first_fault(checks, flagged, "covering rule")
-    rhs = ((num_b / den_b) * jacs.conjugate()).sum(axis=0)
-    return _relative_residuals(u * (num_t / den_t), rhs)
+    _raise_first_fault(checks, flagged_f | flagged_c.any(axis=0), "covering rule")
+    return _relative_residuals(u * b_fat, (b_classical * jacs.conjugate()).sum(axis=0))
 
 
 def invariance_sides(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1, w2, *,
@@ -235,16 +233,16 @@ def invariance_sides(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1,
         raise ValueError(f"{m.kind.value} has order {m.order}, not a biholomorphism")
     (fz1, fz2, jz), (fw1, fw2, jw) = m.evaluate(z1, z2), m.evaluate(w1, w2)
     with np.errstate(all="ignore"):  # pairs past a fault are never read
-        num_s, den_s = kernel_num_den(src, *pair_invariants(z1, z2, w1, w2), thin_variant)
-        num_d, den_d = kernel_num_den(dst, *pair_invariants(fz1, fz2, fw1, fw2), thin_variant)
+        b_src, flagged_s = kernel_values(src, *pair_invariants(z1, z2, w1, w2), thin_variant)
+        b_dst, flagged_d = kernel_values(dst, *pair_invariants(fz1, fz2, fw1, fw2), thin_variant)
 
     def defined(x1, x2):  # the shears need x2 != 0, and image raises where it is 0
         return x2 != 0, lambda i: m.image(Point2C(x1[i], x2[i]))
 
     checks = [_inside(src, "z", z1, z2), _inside(src, "w", w1, w2), defined(z1, z2), defined(w1, w2),
               _inside(dst, "F(z)", fz1, fz2), _inside(dst, "F(w)", fw1, fw2)]
-    _raise_first_fault(checks, near_singular(den_s) | near_singular(den_d), "invariance rule")
-    return num_s / den_s, jz * (num_d / den_d) * jw.conjugate()
+    _raise_first_fault(checks, flagged_s | flagged_d, "invariance rule")
+    return b_src, jz * b_dst * jw.conjugate()
 
 
 def invariance_residuals(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1, w2, *,

@@ -1,7 +1,7 @@
 """Modules of the package reach each other through public names only, only
 ``oracle`` may start a thread, and only in one place, only ``kernels`` reads
-the near-singular threshold, no module takes ``hypot``, and every name the
-benchmark's tracer rebinds exists."""
+the near-singular threshold or flags a denominator, no module takes
+``hypot``, and every name the benchmark's tracer rebinds exists."""
 
 import ast
 import importlib
@@ -97,6 +97,25 @@ def test_only_kernels_reads_the_near_singular_threshold():
         if "NEAR_SINGULAR_THRESHOLD" in set(names_used(path))
     }
     assert found == {"kernels"}
+
+
+def imported_names(path: Path):
+    # Names a module imports from others.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_kernels_turns_a_denominator_into_a_trusted_value():
+    # kernels.kernel_values (kernel for one pair) divides and flags; the
+    # checks read their quotients and flags from it, never from num and den.
+    assert {path.stem for path in PACKAGE_DIR.glob("*.py")
+            if calls_to(path, "near_singular")} == {"kernels"}
+    for stem in ("oracle", "transforms", "acceptance"):
+        names = set(imported_names(PACKAGE_DIR / f"{stem}.py"))
+        assert names & {"kernel_num_den", "near_singular"} == set(), stem
+        assert "kernel_values" in names, stem
 
 
 def test_no_module_names_hypot():

@@ -21,7 +21,7 @@ from hartogs_bergman import (
 )
 from hartogs_bergman import cli, kernels
 from hartogs_bergman.domain import sample_uniform_arrays
-from hartogs_bergman.kernels import kernel_num_den, near_singular, pair_invariants
+from hartogs_bergman.kernels import kernel_num_den, kernel_values, near_singular, pair_invariants
 
 PI_SQ = math.pi**2
 
@@ -287,16 +287,59 @@ GOLDEN_ARRAY = {
 }
 
 
+def _golden_invariants(spec):
+    z1, z2 = sample_uniform_arrays(spec, 2 * _GOLDEN_PAIRS, seed=19)
+    return pair_invariants(z1[:_GOLDEN_PAIRS], z2[:_GOLDEN_PAIRS],
+                           z1[_GOLDEN_PAIRS:], z2[_GOLDEN_PAIRS:])
+
+
 @pytest.mark.parametrize("key", list(GOLDEN_ARRAY), ids=str)
 def test_array_num_den_golden(key):
     text, variant = key
     spec = DomainSpec.parse(text)
-    z1, z2 = sample_uniform_arrays(spec, 2 * _GOLDEN_PAIRS, seed=19)
-    s, t = pair_invariants(z1[:_GOLDEN_PAIRS], z2[:_GOLDEN_PAIRS],
-                           z1[_GOLDEN_PAIRS:], z2[_GOLDEN_PAIRS:])
-    num, den = kernel_num_den(spec, s, t, variant)
+    num, den = kernel_num_den(spec, *_golden_invariants(spec), variant)
     digest = hashlib.sha256(num.tobytes() + den.tobytes()).hexdigest()
     assert digest == GOLDEN_ARRAY[key]
+
+
+class TestKernelValues:
+    """kernel_values is num / den with the near-singular mask, NaN where den == 0."""
+
+    @pytest.mark.parametrize("key", list(GOLDEN_ARRAY), ids=str)
+    def test_quotient_of_the_pinned_arrays(self, key):
+        text, variant = key
+        spec = DomainSpec.parse(text)
+        s, t = _golden_invariants(spec)
+        num, den = kernel_num_den(spec, s, t, variant)
+        values, flagged = kernel_values(spec, s, t, variant)
+        assert values.tobytes() == (num / den).tobytes()
+        assert flagged.tolist() == near_singular(den).tolist()
+
+    def test_flag_follows_a_raised_threshold(self, monkeypatch):
+        # Half the pinned fat:3 pairs flagged: the flagged quotients are still
+        # num / den, and the mask is near_singular's.
+        spec = DomainSpec.fat(3)
+        s, t = _golden_invariants(spec)
+        num, den = kernel_num_den(spec, s, t)
+        monkeypatch.setattr(kernels, "NEAR_SINGULAR_THRESHOLD", float(np.median(np.abs(den))))
+        values, flagged = kernel_values(spec, s, t)
+        assert 0 < np.count_nonzero(flagged) < len(den)
+        assert flagged.tolist() == near_singular(den).tolist()
+        assert values.tobytes() == (num / den).tobytes()
+
+    @pytest.mark.parametrize("text", ["fat:2", "classical", "thin:3", "bidisc"])
+    def test_nan_exactly_where_the_denominator_is_zero(self, text):
+        # t = 1 zeroes the factor 1 - t of every default kernel.
+        spec = DomainSpec.parse(text)
+        s = np.array([0.1, 0.2 + 0.1j, -0.3, 0.1j])
+        t = np.array([1.0, 0.5j, 1.0 + 0.0j, 0.6])
+        num, den = kernel_num_den(spec, s, t)
+        values, flagged = kernel_values(spec, s, t)
+        zero = den == 0
+        assert zero.tolist() == [True, False, True, False]
+        assert np.isnan(values).tolist() == zero.tolist()
+        assert flagged.tolist() == zero.tolist()
+        assert values[~zero].tobytes() == (num[~zero] / den[~zero]).tobytes()
 
 
 def test_pair_invariants_match_their_one_pair_slices():
