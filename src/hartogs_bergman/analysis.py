@@ -209,7 +209,7 @@ def zero_locus_scan(
         theta = np.linspace(0.0, 2.0 * np.pi, t_points, endpoint=False)
         t_circle = t_abs * np.exp(1j * theta)
         for s, (a, b, c) in zip(s_grid, quadratics):
-            num = kernel_factors(DomainSpec.fat(k), s, t_circle)[0]
+            num = (a * t_circle + b) * t_circle + c
             scale = np.maximum(np.abs(a * t_circle**2), np.maximum(np.abs(b * t_circle), abs(c)))
             small = np.abs(num) < tol * np.maximum(scale, 1e-300)
             for idx in np.nonzero(small)[0]:
