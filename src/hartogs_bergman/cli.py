@@ -41,6 +41,7 @@ from .domain import (
     Point2C,
     boundary_paths,
     sampling_acceptance,
+    volume,
 )
 from .kernels import THIN_VARIANT_DEFAULT, SingularEvaluation, kernel
 from .oracle import NonconvergentTruncation, inner_product_mc, parse_function, reproducing_check
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", type=_complex_arg, nargs=2, action="append", metavar="RE,IM",
                    help="diagonal evaluation point; repeatable (default: three built-ins)")
 
-    p = sub.add_parser("volume", help="sampler acceptance ratio vs quadrature volume")
+    p = sub.add_parser("volume", help="sampler acceptance ratio vs the exact volume "
+                       "(pi^2 gamma/(gamma+1) on a triangle, pi^2 on the bidiscs)")
     p.add_argument("--spec", type=_spec_arg, required=True)
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=1)
@@ -385,17 +387,8 @@ def _cmd_ramadanov(args):
 def _cmd_volume(args):
     acc = sampling_acceptance(args.spec, args.n, args.seed)
     mc_volume = acc * math.pi**2
-    if args.spec.is_triangle:
-        # Composite Simpson quadrature of the modulus-region integral
-        # vol = 2 pi^2 int_0^1 r2^(1 + 2/gamma) dr2.
-        g = float(args.spec.gamma)
-        r = np.linspace(0.0, 1.0, 4097)
-        f = r ** (1.0 + 2.0 / g)
-        h = r[1] - r[0]
-        simpson = h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
-        quad_volume = 2.0 * math.pi**2 * float(simpson)
-    else:
-        quad_volume = math.pi**2
+    # The exact volume, kept under the schema's "quadrature_volume" key.
+    quad_volume = volume(args.spec)
     rel_dev = abs(mc_volume - quad_volume) / quad_volume
     results = {
         "spec": str(args.spec),

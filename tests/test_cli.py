@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hartogs_bergman import acceptance, cli, kernels
 from hartogs_bergman.acceptance import criterion_2_fat_series
 from hartogs_bergman.cli import main
-from hartogs_bergman.domain import DomainSpec, Point2C, contains
+from hartogs_bergman.domain import DomainSpec, Point2C, contains, volume
 from hartogs_bergman.oracle import NonconvergentTruncation
 
 
@@ -555,6 +555,14 @@ class TestUncoveredCommands:
         assert res["quadrature_volume"] == pytest.approx(9.869604401089358, rel=1e-15)
         assert res["acceptance_ratio"] == 1.0
         assert res["rel_dev"] == 0.0
+
+    def test_volume_of_a_thin_triangle_is_exact(self, capsys):
+        # pi^2 / 1001.  Composite Simpson on 4096 intervals, which cannot
+        # resolve r^2001, read 0.009862775348722054.
+        spec = DomainSpec.thin(1000)
+        _, doc, _ = run_json(capsys, "volume", "--spec", str(spec), "--n", "20000", "--seed", "1")
+        assert doc["schema_version"] == 1
+        assert doc["results"]["quadrature_volume"] == volume(spec)
 
 
 def test_make_tables_writes_every_table(tmp_path):
