@@ -908,22 +908,6 @@ def test_reproducing_batch_golden_under_a_wide_margin(text, monkeypatch):
     assert got == GOLDEN_REPRODUCING_MARGIN[text]
 
 
-def test_reproducing_batch_memory_stays_bounded():
-    # Criterion 7's functions and points on fat:2 over 3·10^6 samples: two
-    # chunks of samples (one drawn ahead) and the block temporaries of two
-    # threads, not a chunk-length array per point or thread.
-    fs = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-    zs = (Point2C(0.1, 0.5), Point2C(0.2, 0.6), Point2C(0.15, 0.75))
-    tracemalloc.start()
-    try:
-        oracle.reproducing_residuals_batch(DomainSpec.fat(2), fs, zs, 3_000_000, seed=6002)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 160 * 2**20
-
-
-
 def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
     # On 10^5-sample chunks, 24 points may not cost a chunk-length array more
     # than 3 do: each block makes its own function values and evaluates the
@@ -951,10 +935,10 @@ def test_reproducing_batch_memory_does_not_grow_with_points(monkeypatch):
 
 
 def test_reproducing_batch_holds_two_chunks():
-    # test_reproducing_batch_memory_stays_bounded's case (criterion 7's
-    # functions, _GOLDEN_FS, and points, the first three of _GOLDEN_ZS7)
-    # against about two chunks of _CHUNK samples (4 MiB each,
-    # one drawn ahead) and the block temporaries of two threads; two
+    # Criterion 7's functions (_GOLDEN_FS) and points (the first three of
+    # _GOLDEN_ZS7) on fat:2 over 3·10^6 samples, against about two chunks of
+    # _CHUNK samples (4 MiB each, one drawn ahead) and the block temporaries
+    # of two threads, not a chunk-length array per point or thread; two
     # 10^6-sample chunks alone were 64 MiB.
     tracemalloc.start()
     try:
