@@ -330,13 +330,22 @@ def _fill_polar(rng: np.random.Generator, out: np.ndarray, r: np.ndarray) -> Non
     done = 0
     while done < len(r):
         need = len(r) - done
-        x, y = rng.random((2, need + need // 3 + 64)) * 2.0 - 1.0
-        q = x * x + y * y
-        idx = np.flatnonzero((q > 0.0) & (q <= 1.0))[:need]
+        # The operations of (x + iy) r / sqrt(q) in their order, each written
+        # in place or into the output, so no temporary of the draw's size is made.
+        xy = rng.random((2, need + need // 3 + 64))
+        xy *= 2.0
+        xy -= 1.0
+        x, y = xy
+        q = x * x
+        q += y * y
+        keep = q <= 1.0
+        keep &= q > 0.0
+        idx = np.flatnonzero(keep)[:need]
         part = slice(done, done + idx.size)
-        scale = r[part] / np.sqrt(q[idx])
-        out.real[part] = x[idx] * scale
-        out.imag[part] = y[idx] * scale
+        scale = np.sqrt(q[idx])
+        np.divide(r[part], scale, out=scale)
+        np.multiply(x[idx], scale, out=out.real[part])
+        np.multiply(y[idx], scale, out=out.imag[part])
         done += idx.size
 
 

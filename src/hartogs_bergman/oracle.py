@@ -335,6 +335,15 @@ def series_row_sums(spec: DomainSpec, s, t, tol: float) -> tuple[np.ndarray, np.
     return values, rows, tails
 
 
+def _power(z, k: int):
+    """z**k on a complex array, with the bits of ``**``: exponents 1 and 2, which
+    ``**`` rounds as a copy and as z * z, skip its slower general loop.  Other
+    exponents keep ``**``, whose z**3 and z**-1 differ from (z * z) * z and 1 / z."""
+    if k == 1:
+        return z.copy()
+    return z * z if k == 2 else z**k
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A named test function z1^a z2^b (the CLI's closed function set)."""
@@ -350,10 +359,10 @@ class Monomial:
         # Exponent 0 skips the complex power; the value is the same as the
         # full product's, apart from the sign of an exactly zero component.
         if self.b == 0:
-            return z1**self.a if self.a else np.ones_like(z1)
+            return _power(z1, self.a) if self.a else np.ones_like(z1)
         if self.a == 0:
-            return z2**self.b
-        return z1**self.a * z2**self.b
+            return _power(z2, self.b)
+        return _power(z1, self.a) * _power(z2, self.b)
 
     def at(self, p: Point2C) -> complex:
         return p.z1**self.a * p.z2**self.b
