@@ -28,9 +28,13 @@ kernel, whichever thin variant is asked for.
 Numerator and denominator are returned separately: the numerator's zeros
 are what the Lu Qi-Keng analysis scans for, and a flag on the denominator
 (``near_singular``, the one such test) replaces silent infinities near
-t = s^k or t = 1.  ``kernel_values`` is the one array quotient with its
-flag, which the reproducing integrator, the transformation rules and the
-series comparison read; ``kernel`` is its scalar counterpart.
+t = s^k or t = 1.  Two array entry points return the quotient with its
+flag.  ``kernel_values`` takes arrays of pairs (s, t) through the factored
+form; the transformation rules and the series comparison read it.
+``point_kernels`` runs ``kernel_factors`` on polynomials in (s, t) and
+evaluates the expanded terms at fixed points against blocks of samples as
+two matrix products; the reproducing integrator reads it.  ``kernel`` is
+their scalar counterpart.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ __all__ = [
     "kernel_factors",
     "kernel_num_den",
     "kernel_values",
+    "PointKernels",
+    "point_kernels",
     "fat_quadratic",
 ]
 
@@ -171,18 +177,155 @@ def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
     return num, top
 
 
-def kernel_values(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
-    """(num / den, near_singular(den)) on arrays of (s, t), the quotient NaN where den == 0.
-
-    Every den == 0 is flagged; only a call with a flagged pair pays for the
-    den == 0 test, and its untrusted quotients raise no floating-point warning.
-    """
-    num, den = kernel_num_den(spec, s, t, thin_variant)
+def _quotient(num, den, out=None):
+    # Every den == 0 is flagged; only a call with a flagged element pays for
+    # the den == 0 test, and its untrusted quotients raise no warning.
     flagged = near_singular(den)
     if not flagged.any():
-        return num / den, flagged
+        return np.divide(num, den, out=out), flagged
     with np.errstate(all="ignore"):
         return np.where(den != 0, num / den, np.nan), flagged
+
+
+def kernel_values(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
+    """(num / den, near_singular(den)) on arrays of (s, t), the quotient NaN where den == 0."""
+    return _quotient(*kernel_num_den(spec, s, t, thin_variant))
+
+
+class _Expansion:
+    """A polynomial in (s, t) as {(a, b): coefficient of s^a t^b}, with the
+    arithmetic ``kernel_factors`` uses, so that run on s and t it writes out
+    a kernel's terms.  Zero coefficients are dropped."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {m: c for m, c in terms.items() if c != 0}
+
+    @staticmethod
+    def of(x) -> "_Expansion":
+        return x if isinstance(x, _Expansion) else _Expansion({(0, 0): x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in _Expansion.of(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return _Expansion(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Expansion({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -_Expansion.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for (a2, b2), c2 in _Expansion.of(other).terms.items():
+            for (a, b), c in self.terms.items():
+                terms[a + a2, b + b2] = terms.get((a + a2, b + b2), 0) + c * c2
+        return _Expansion(terms)
+
+    __rmul__ = __mul__
+
+
+def _monomial(x, y, a: int, b: int):
+    """x^a y^b by ``ipow``, for exponents >= 0."""
+    if a and b:
+        return ipow(x, a) * ipow(y, b)
+    return ipow(x, a) if a else ipow(y, b) if b else 1.0
+
+
+# OpenBLAS (0.3.31) runs a complex product of 2^16 or more multiply-adds on
+# its thread pool when it has more than one thread, and the pool then spins
+# between calls on the cores that the stream's helper thread needs: with the
+# thread count left at its default of 2, the reproducing grid took twice as
+# long.  Products are therefore taken in column slices below that size.  No
+# slice is one column wide, which numpy would hand to gemv, so the slices
+# give the bits of the whole product.
+_THREADED_PRODUCT = 2**16
+
+
+def _product(a, b):
+    """a @ b on complex arrays, in column slices of fewer than _THREADED_PRODUCT multiply-adds."""
+    n = b.shape[1]
+    if a.size * n < _THREADED_PRODUCT:
+        return a @ b
+    width = 1 << max(((_THREADED_PRODUCT - 1) // a.size).bit_length() - 1, 0)
+    out = np.empty((a.shape[0], n), dtype=np.complex128)
+    cuts = [*range(0, n - 1, width), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PointKernels:
+    """B(z_j, w) at fixed points z_j, on blocks of samples w, as two matrix products.
+
+    ``kernel_factors`` run on polynomials in (s, t) writes the kernel as
+    num / (const q^2), where num and q = top * curve are sums of terms
+    c s^a t^b.  With s = z1 conj(w1) and t = z2 conj(w2), each term splits
+    into c z1^a z2^b, a point's coefficient, times conj(w1)^a conj(w2)^b, a
+    sample's power.  So num and q for points x samples are the point rows
+    (``num_rows``, ``q_rows``) times the samples' table of powers.
+    """
+
+    exponents: tuple[tuple[int, int], ...]  # (a, b) of num's terms, then of q's
+    num_rows: np.ndarray  # (points, num's terms)
+    q_rows: np.ndarray  # (points, q's terms)
+    const: float
+
+    def powers(self, w1, w2) -> np.ndarray:
+        """The table conj(w1)^a conj(w2)^b of samples w, one row per term of ``exponents``."""
+        c1, c2 = np.conj(w1), np.conj(w2)
+        p1 = {a: ipow(c1, a) for a in {a for a, _ in self.exponents if a}}
+        p2 = {b: ipow(c2, b) for b in {b for _, b in self.exponents if b}}
+        table = np.empty((len(self.exponents), len(c1)), dtype=np.complex128)
+        for row, (a, b) in zip(table, self.exponents):
+            if a and b:
+                np.multiply(p1[a], p2[b], out=row)
+            else:
+                row[...] = p1[a] if a else p2[b] if b else 1.0
+        return table
+
+    def values(self, powers: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+        """(B(z_j, w), near_singular(den)) for the points ``points`` selects (a
+        slice) and the samples of ``powers``, as ``kernel_values`` returns them.
+
+        A row's bits do not depend on the other rows of the product as long as
+        there are at least two: numpy hands a one-row product to gemv, which
+        rounds unlike gemm.
+        """
+        split = self.num_rows.shape[1]
+        num = _product(self.num_rows[points], powers[:split])
+        q = _product(self.q_rows[points], powers[split:])
+        q *= q
+        q *= self.const
+        return _quotient(num, q, out=num)
+
+
+def point_kernels(spec: DomainSpec, z1, z2,
+                  thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> PointKernels:
+    """The kernel at the points (z1[j], z2[j]), expanded from ``kernel_factors`` at this call.
+
+    The points' coefficients are Python complex products, so a point's row
+    does not depend on the other points.  Membership is the caller's to check.
+    """
+    s, t = _Expansion({(1, 0): 1.0}), _Expansion({(0, 1): 1.0})
+    num, const, top, curve = kernel_factors(spec, s, t, thin_variant)
+    num, q = _Expansion.of(num).terms, (_Expansion.of(top) * curve).terms
+    points = [(complex(x), complex(y)) for x, y in zip(z1, z2)]
+
+    def rows(terms):
+        return np.array([[c * _monomial(x, y, a, b) for (a, b), c in terms.items()]
+                         for x, y in points], dtype=np.complex128).reshape(len(points), len(terms))
+
+    return PointKernels((*num, *q), rows(num), rows(q), const)
 
 
 def kernel(spec: DomainSpec, z: Point2C, w: Point2C, *,

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import DomainSpec, Point2C, ipow, require_inside, sample_chunks, volume
-from .kernels import PI_SQ, SingularEvaluation, kernel_values
+from .kernels import PI_SQ, SingularEvaluation, point_kernels
 
 __all__ = [
     "NonconvergentTruncation",
@@ -468,8 +468,11 @@ def _drawn_ahead(helper, stream):
 
 
 # Samples per evaluation block in both integrators, and points per kernel
-# tile in the reproducing one: a tile's temporaries are at most 256 KiB of
-# complex128, however many points there are.  The stream is read in chunks
+# tile in the reproducing one: a tile's products are at most 256 KiB of
+# complex128, however many points there are, and every tile has this many
+# rows, because a one-row product rounds unlike a wider one.  The per-block
+# table of sample powers adds a block per term (13 for fat:3, 33 for fat:8).
+# Larger tiles made the grid slower, not faster.  The stream is read in chunks
 # of 32 blocks (4 MiB of samples), which end on the sampler's 16,384-point
 # blocks, so only a stream's last block is short.  Constants, so that no
 # estimate depends on the number of pairs or points.
@@ -556,9 +559,10 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     with nothing drawn; a point at which every sample is excluded raises
     SingularEvaluation.
 
-    The stream is ``_block_sums``'s.  Each block makes its (len(fs), width)
-    function values F, then per tile of _POINT_TILE points one
-    ``kernel_values`` call, whose flagged samples read 0, and, for each
+    The stream is ``_block_sums``'s.  The kernel is expanded once per call
+    (``point_kernels``).  Each block makes its (len(fs), width) function
+    values F and its table of sample powers, then per tile of _POINT_TILE
+    points the kernel values K, whose flagged samples read 0, and, for each
     point z_j, the sums F @ K[j] into that block's slot, so neither the
     tiling nor the other points change a bit of any estimate.
     """
@@ -571,26 +575,27 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     if not fs or not zs:
         return [[] for _ in fs]
     vol = volume(spec)
-    # Columns, so that each (point, sample) product broadcasts as z * conj(w).
-    z1s = np.array([[z.z1] for z in zs], dtype=np.complex128)
-    z2s = np.array([[z.z2] for z in zs], dtype=np.complex128)
+    # The last tile is filled up with copies of the last point, whose rows are
+    # dropped: every tile is one product of _POINT_TILE rows.
+    padded = (*zs, *(zs[-1],) * (-len(zs) % _POINT_TILE))
+    kernel = point_kernels(spec, [z.z1 for z in padded], [z.z2 for z in padded])
 
     def block(v1, v2):
         fblock = np.empty((len(fs), len(v1)), dtype=np.complex128)
         for i, f in enumerate(fs):
             fblock[i] = f(v1, v2)
-        v1, v2 = np.conj(v1), np.conj(v2)
-        sums = np.empty((len(zs), len(fs)), dtype=np.complex128)
-        bad = np.empty(len(zs), dtype=np.int64)
-        for t in range(0, len(zs), _POINT_TILE):
+        powers = kernel.powers(v1, v2)
+        sums = np.empty((len(padded), len(fs)), dtype=np.complex128)
+        bad = np.empty(len(padded), dtype=np.int64)
+        for t in range(0, len(padded), _POINT_TILE):
             rows = slice(t, t + _POINT_TILE)
-            kvals, flagged = kernel_values(spec, z1s[rows] * v1, z2s[rows] * v2)
+            kvals, flagged = kernel.values(powers, rows)
             bad[rows] = np.count_nonzero(flagged, axis=1)
             if bad[rows].any():
                 kvals[flagged] = 0.0
             for j, row in enumerate(kvals, t):
                 sums[j] = fblock @ row
-        return sums, bad
+        return sums[:len(zs)], bad[:len(zs)]
 
     acc, excluded = _block_sums(spec, n, seed, block)
     for z, bad in zip(zs, excluded):

@@ -108,14 +108,16 @@ def imported_names(path: Path):
 
 
 def test_only_kernels_turns_a_denominator_into_a_trusted_value():
-    # kernels.kernel_values (kernel for one pair) divides and flags; the
-    # checks read their quotients and flags from it, never from num and den.
+    # kernels divides and flags: kernel_values on pairs, point_kernels on
+    # points x samples and kernel on one pair.  The checks read their
+    # quotients and flags from these, never from num and den.
     assert {path.stem for path in PACKAGE_DIR.glob("*.py")
             if calls_to(path, "near_singular")} == {"kernels"}
-    for stem in ("oracle", "transforms", "acceptance"):
+    for stem, entry in (("oracle", "point_kernels"), ("transforms", "kernel_values"),
+                        ("acceptance", "kernel_values")):
         names = set(imported_names(PACKAGE_DIR / f"{stem}.py"))
         assert names & {"kernel_num_den", "near_singular"} == set(), stem
-        assert "kernel_values" in names, stem
+        assert entry in names, stem
 
 
 def test_no_module_names_hypot():

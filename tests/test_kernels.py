@@ -21,7 +21,8 @@ from hartogs_bergman import (
 )
 from hartogs_bergman import cli, kernels
 from hartogs_bergman.domain import sample_uniform_arrays
-from hartogs_bergman.kernels import kernel_num_den, kernel_values, near_singular, pair_invariants
+from hartogs_bergman.kernels import (kernel_num_den, kernel_values, near_singular, pair_invariants,
+                                     point_kernels)
 
 PI_SQ = math.pi**2
 
@@ -352,6 +353,97 @@ def test_pair_invariants_match_their_one_pair_slices():
     whole = np.stack(pair_invariants(*zw))
     ones = np.hstack([np.stack(pair_invariants(*(a[i:i + 1] for a in zw))) for i in range(n)])
     assert whole.tobytes() == ones.tobytes()
+
+
+# Every kind of domain, and both thin variants, as (spec, variant).
+EXPANDED = ([(DomainSpec.fat(k), "1-t") for k in (1, 2, 3, 5, 8)]
+            + [(DomainSpec.thin(k), v) for k in (2, 3, 5) for v in ("1-t", "1-s")]
+            + [(DomainSpec.classical(), "1-t"), (DomainSpec.bidisc(), "1-t"),
+               (DomainSpec.punctured_bidisc(), "1-t")])
+
+
+class TestPointKernels:
+    """point_kernels expands kernel_factors into point rows times a table of sample powers."""
+
+    @pytest.mark.parametrize("spec,variant", EXPANDED, ids=str)
+    def test_expansion_equals_the_factors(self, spec, variant):
+        # At the point z = (s, t), the samples' powers at w = (1, 1) are all 1,
+        # so the row sums are num(s, t) and q(s, t) = top curve.
+        rng = np.random.default_rng(61)
+        s, t = (rng.uniform(0, 1, (2, 200)) ** 0.5 * np.exp(2j * np.pi * rng.random((2, 200))))
+        pk = point_kernels(spec, s, t, variant)
+        num, const, top, curve = kernels.kernel_factors(spec, s, t, variant)
+        assert pk.const == const
+        # Both sides round relative to the sum of the terms' moduli.
+        for rows, want in ((pk.num_rows, num), (pk.q_rows, top * curve)):
+            assert np.all(np.abs(rows.sum(axis=1) - want) <= 1e-14 * np.abs(rows).sum(axis=1))
+
+    @pytest.mark.parametrize("spec,variant", EXPANDED, ids=str)
+    def test_values_match_kernel_values(self, spec, variant):
+        # 8 points by 2·10^4 samples against the factored quotient on the same pairs.
+        z1, z2 = sample_uniform_arrays(spec, 8, seed=62)
+        w1, w2 = sample_uniform_arrays(spec, 20_000, seed=63)
+        pk = point_kernels(spec, z1, z2, variant)
+        values, flagged = pk.values(pk.powers(w1, w2), slice(0, 8))
+        want, want_flagged = kernel_values(spec, *pair_invariants(z1[:, None], z2[:, None], w1, w2),
+                                           variant)
+        assert values.shape == want.shape
+        assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
+        assert flagged.tolist() == want_flagged.tolist()
+
+    def test_formula_is_read_at_each_call(self, monkeypatch):
+        # A mutant kernel_factors is expanded by the next call, not a remembered one.
+        spec, z1, z2 = DomainSpec.fat(3), [0.1], [0.5]
+        before = point_kernels(spec, z1, z2)
+        formula = kernels.kernel_factors
+
+        def mutant(spec, s, t, thin_variant="1-t"):
+            num, const, top, curve = formula(spec, s, t, thin_variant)
+            return num, const, 1.0 - s, curve
+
+        monkeypatch.setattr(kernels, "kernel_factors", mutant)
+        after = point_kernels(spec, z1, z2)
+        assert after.exponents != before.exponents
+        assert after.q_rows.tolist() != before.q_rows.tolist()
+
+    @pytest.mark.parametrize("text", ["fat:2", "classical", "thin:3", "bidisc"])
+    def test_nan_and_flag_exactly_where_the_denominator_is_zero(self, text):
+        # t = 1 zeroes the factor 1 - t of every default kernel; the dyadic
+        # points and samples keep every product and sum exact, so den is 0.
+        spec = DomainSpec.parse(text)
+        z1 = np.array([0.5, 0.25 + 0.5j, -0.5, 0.25j])
+        z2 = np.array([1.0, 0.5j, 1.0, 0.75])
+        w1, w2 = np.array([1.0, 0.5j]), np.array([1.0, 0.5])
+        pk = point_kernels(spec, z1, z2)
+        values, flagged = pk.values(pk.powers(w1, w2), slice(0, 4))
+        zero = np.zeros((4, 2), dtype=bool)
+        zero[[0, 2], 0] = True
+        assert flagged.tolist() == zero.tolist()
+        assert np.isnan(values).tolist() == zero.tolist()
+        want, _ = kernel_values(spec, *pair_invariants(z1[:, None], z2[:, None], w1, w2))
+        assert np.all(np.abs(values[~zero] - want[~zero]) <= 1e-13 * np.abs(want[~zero]))
+
+    @pytest.mark.parametrize("terms", [4, 13, 29])
+    @pytest.mark.parametrize("samples", [4096, 2049, 1441])
+    def test_column_slices_give_the_whole_product(self, terms, samples):
+        # Products are sliced below OpenBLAS's threading size; no slice is one
+        # column wide, so every bit is the whole product's.
+        rng = np.random.default_rng(terms * samples)
+        a = rng.standard_normal((4, terms)) + 1j * rng.standard_normal((4, terms))
+        b = rng.standard_normal((terms, samples)) + 1j * rng.standard_normal((terms, samples))
+        assert kernels._product(a, b).tobytes() == (a @ b).tobytes()
+
+    def test_a_row_does_not_depend_on_the_others(self):
+        # Any product of two or more rows gives each row the same bits.
+        spec = DomainSpec.fat(3)
+        z1, z2 = sample_uniform_arrays(spec, 6, seed=64)
+        w1, w2 = sample_uniform_arrays(spec, 4096, seed=65)
+        pk = point_kernels(spec, z1, z2)
+        powers = pk.powers(w1, w2)
+        whole, _ = pk.values(powers, slice(0, 6))
+        for rows in (slice(0, 2), slice(2, 6), slice(3, 5)):
+            part, _ = pk.values(powers, rows)
+            assert part.tobytes() == whole[rows].tobytes()
 
 
 # The scalar kernel rounds with Python's complex arithmetic and the array path

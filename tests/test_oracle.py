@@ -965,6 +965,68 @@ def test_reproducing_batch_memory_does_not_grow_with_the_samples():
     assert abs(peaks[0] - peaks[1]) < 16 * 250_000
 
 
+def test_reproducing_batch_on_the_widest_table_holds_two_chunks():
+    # fat:8 has the most terms (29 in the numerator, 4 in q), so each block's
+    # table of sample powers is 33 rows, 2.1 MiB: the batch stays within
+    # test_reproducing_batch_holds_two_chunks's bound.
+    tracemalloc.start()
+    try:
+        oracle.reproducing_residuals_batch(DomainSpec.fat(8), _GOLDEN_FS, _GOLDEN_ZS7[:3],
+                                           3_000_000, seed=6005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
+def _fat_top_mutant(formula):
+    # kernel_factors with the fat kernels' top 1 - t replaced by 1 - s.
+    def mutant(spec, s, t, thin_variant="1-t"):
+        num, const, top, curve = formula(spec, s, t, thin_variant)
+        return num, const, 1.0 - s if spec.kind is domain.DomainKind.FAT else top, curve
+
+    return mutant
+
+
+def test_reproducing_batch_reads_kernel_factors_on_both_threads(monkeypatch):
+    # A mutant formula moves the estimates, and the helper's blocks use it too:
+    # a batch that the helper shares equals one with every block on the caller.
+    run = TestHandOff._run
+    library = run("reproducing", 200_001, seed=66)
+    monkeypatch.setattr(kernels, "kernel_factors", _fat_top_mutant(kernels.kernel_factors))
+    helper_started = threading.Event()
+
+    def on_call(is_caller):
+        if is_caller:
+            assert helper_started.wait(timeout=30.0)
+        else:
+            helper_started.set()
+
+    with monkeypatch.context() as m:
+        TestHandOff._patch_blocks(m, on_call)
+        shared = run("reproducing", 200_001, seed=66)
+    assert helper_started.is_set()
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ThreadPoolExecutor", _Synchronous)
+        alone = run("reproducing", 200_001, seed=66)
+    assert shared == alone
+    assert all(a != b for a, b in zip(shared, library))
+
+
+def test_zero_denominators_are_flagged_and_excluded(monkeypatch):
+    # A formula whose curve vanishes identically has den == 0 at every sample:
+    # each is flagged and excluded, and nothing is left to average.
+    formula = kernels.kernel_factors
+
+    def vanishing(spec, s, t, thin_variant="1-t"):
+        num, const, top, curve = formula(spec, s, t, thin_variant)
+        return num, const, top, 0.0 * curve
+
+    monkeypatch.setattr(kernels, "kernel_factors", vanishing)
+    with pytest.raises(SingularEvaluation, match="^all 2000 samples are near-singular"):
+        reproducing_check(DomainSpec.fat(2), Monomial(0, 0), Point2C(0.1, 0.5), 2_000, seed=1)
+
+
 @pytest.mark.parametrize("integrate", INTEGRATORS)
 def test_stream_draws_chunks_of_its_constant(monkeypatch, integrate):
     # Each draw returns one chunk of _CHUNK samples, the last one shorter.
