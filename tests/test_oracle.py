@@ -741,28 +741,28 @@ _GOLDEN_FS = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
 _GOLDEN_ZS = (Point2C(0.05, 0.6), Point2C(0.1 + 0.05j, 0.7j))
 GOLDEN_REPRODUCING = {
     ("fat:2", None): (
-        "((0.999046261695239-0.00032046066176134755j), 0.0010061370630808017, 0)",
-        "((0.9979809072253627+0.0005349187089258959j), 0.0020887493046681054, 0)",
-        "((0.04990350319160262-0.0002311210616481938j), 0.00025045674111165363, 0)",
-        "((0.09893129495031806+0.04953781645146533j), 0.0011643642538964282, 0)",
-        "((0.5995310281974346-0.0008090255041212342j), 0.0009351239585851676, 0)",
-        "((-0.0005113785330925443+0.6979804195470412j), 0.0020833178370285137, 0)",
+        "((0.9990462616952392-0.0003204606617613477j), 0.0010061370630805914, 0)",
+        "((0.9979809072253625+0.0005349187089258947j), 0.0020887493046683196, 0)",
+        "((0.04990350319160262-0.00023112106164819353j), 0.00025045674111165336, 0)",
+        "((0.09893129495031806+0.049537816451465336j), 0.0011643642538964256, 0)",
+        "((0.5995310281974349-0.0008090255041212347j), 0.0009351239585850565, 0)",
+        "((-0.0005113785330925441+0.6979804195470412j), 0.0020833178370285132, 0)",
     ),
     ("thin:3", None): (
-        "((0.9954558027048939-0.0006577685967124553j), 0.004591556226778779, 0)",
-        "((0.9973052204954209-0.00013179230641785397j), 0.0026980003317884182, 0)",
-        "((0.05102220209562962+0.00034424567507373494j), 0.0010786112409559565, 0)",
-        "((0.09800626991801147+0.04952205777042711j), 0.0020502166750456245, 0)",
-        "((0.5973071519667232-0.00015101057325251493j), 0.0026970789242357113, 0)",
-        "((0.0008597153051718016+0.6967176121149026j), 0.0033931078135215078, 0)",
+        "((0.9954558027048936-0.0006577685967124548j), 0.0045915562267789985, 0)",
+        "((0.9973052204954213-0.00013179230641785438j), 0.0026980003317880856, 0)",
+        "((0.05102220209562962+0.00034424567507373413j), 0.0010786112409559563, 0)",
+        "((0.09800626991801151+0.049522057770427126j), 0.0020502166750455807, 0)",
+        "((0.597307151966723-0.00015101057325251615j), 0.002697078924235933, 0)",
+        "((0.0008597153051718023+0.6967176121149026j), 0.003393107813521508, 0)",
     ),
     ("fat:2", 0.25): (
-        "((0.9955590812411305-0.0002975870142051339j), 0.004450878278935842, 17397)",
-        "((0.9955581452391405+0.0003621472304098623j), 0.004456593355138354, 11034)",
-        "((0.05017301153224839-0.0002172558693573233j), 0.0002777284700226829, 17397)",
+        "((0.9955590812411305-0.0002975870142051338j), 0.004450878278935842, 17397)",
+        "((0.9955581452391405+0.00036214723040986144j), 0.004456593355138354, 11034)",
+        "((0.050173011532248374-0.0002172558693573232j), 0.0002777284700226742, 17397)",
         "((0.0992203410575721+0.04966565443416168j), 0.000848324833954271, 11034)",
-        "((0.603220225532715-0.0007790463874914833j), 0.0033131202446354886, 17397)",
-        "((-0.0004951862743988982+0.7007875340170204j), 0.0009302791378492084, 11034)",
+        "((0.6032202255327151-0.0007790463874914842j), 0.003313120244635597, 17397)",
+        "((-0.0004951862743988984+0.7007875340170204j), 0.0009302791378492084, 11034)",
     ),
 }
 
@@ -791,73 +791,73 @@ _GOLDEN_ZS7 = (
 )
 GOLDEN_REPRODUCING_SEVEN = {
     ('fat:3', None): (
-        "((1.0000550796840812-0.0004073551204827677j), 0.0004110619974918874, 0)",
-        "((0.9998728837980423-0.0006522609778397545j), 0.0006645321000618603, 0)",
-        "((0.9995788819385173-0.001223443215138771j), 0.0012938909236778985, 0)",
-        "((1.0000024943795818-0.0007983140571058318j), 0.0007983179540147342, 0)",
-        "((1.0008889990414085-0.00038016334280157894j), 0.0009668730334616245, 0)",
-        "((0.9987727356845562-0.00019953062593865072j), 0.0012433785307175427, 0)",
-        "((0.9986441971769621-0.000439356086034763j), 0.0014252140419226207, 0)",
-        "((0.09999348249764552-9.784977011112403e-05j), 9.806658629594787e-05, 0)",
-        "((0.1998226967934412-0.00010478584886998848j), 0.00020595266732781591, 0)",
-        "((0.14978205979805007+0.00012646992848043163j), 0.0002519773292100328, 0)",
-        "((0.04995040358260352-5.113439511908252e-06j), 4.98593209160358e-05, 0)",
-        "((0.10002444419187696+0.05013031389091748j), 0.0001325866836547699, 0)",
-        "((-0.09956940324178741+0.1000368673979322j), 0.00043217215691606877, 0)",
-        "((0.00013710468532943178+0.2993342260576711j), 0.0006797445380607318, 0)",
-        "((0.4994270162812564+0.0004339263757791701j), 0.0007187506115072743, 0)",
-        "((0.5993206688947246+0.00021488380106341278j), 0.0007125067007082554, 0)",
-        "((0.7491308706761766-0.00040882342813255024j), 0.0009604802845034532, 0)",
-        "((0.5994227141014425+9.141795101980591e-05j), 0.0005844794696496389, 0)",
-        "((5.3646250431538924e-05+0.7008419064590102j), 0.0008436138962277634, 0)",
-        "((0.5985130542019393-0.39900755239665237j), 0.0017877248255144544, 0)",
-        "((-0.7988317682089878+0.0006333573344682543j), 0.0013288743472038094, 0)",
+        "((1.0000550796840812-0.00040735512048276805j), 0.00041106199749188775, 0)",
+        "((0.9998728837980427-0.0006522609778397553j), 0.0006645321000617762, 0)",
+        "((0.9995788819385171-0.0012234432151387697j), 0.0012938909236779694, 0)",
+        "((1.0000024943795818-0.0007983140571058324j), 0.0007983179540147347, 0)",
+        "((1.0008889990414085-0.0003801633428015793j), 0.0009668730334616246, 0)",
+        "((0.9987727356845562-0.0001995306259386291j), 0.0012433785307175392, 0)",
+        "((0.9986441971769621-0.0004393560860347643j), 0.0014252140419226211, 0)",
+        "((0.09999348249764552-9.784977011112361e-05j), 9.806658629594745e-05, 0)",
+        "((0.1998226967934412-0.00010478584886998867j), 0.00020595266732781602, 0)",
+        "((0.14978205979805007+0.00012646992848043125j), 0.00025197732921003257, 0)",
+        "((0.04995040358260353-5.1134395119081226e-06j), 4.9859320916021985e-05, 0)",
+        "((0.10002444419187694+0.05013031389091748j), 0.00013258668365476476, 0)",
+        "((-0.09956940324178738+0.1000368673979322j), 0.0004321721569160964, 0)",
+        "((0.00013710468532943327+0.2993342260576711j), 0.0006797445380607321, 0)",
+        "((0.4994270162812564+0.00043392637577917005j), 0.0007187506115072743, 0)",
+        "((0.5993206688947246+0.00021488380106341265j), 0.0007125067007082553, 0)",
+        "((0.7491308706761765-0.00040882342813254965j), 0.0009604802845035534, 0)",
+        "((0.5994227141014427+9.141795101980607e-05j), 0.0005844794696495293, 0)",
+        "((5.364625043153867e-05+0.7008419064590102j), 0.0008436138962277634, 0)",
+        "((0.5985130542019393-0.3990075523966522j), 0.001787724825514547, 0)",
+        "((-0.7988317682089879+0.0006333573344682556j), 0.0013288743472037125, 0)",
     ),
     ('thin:3', None): (
-        "((1.000110027213352+0.008388287192071919j), 0.008389008761728397, 0)",
-        "((0.9969590698500082+0.01147528630744713j), 0.011871371109312228, 0)",
-        "((0.9994906024293492+0.0010452067204606147j), 0.0011627308258926473, 0)",
+        "((1.0001100272133516+0.008388287192071917j), 0.00838900876172839, 0)",
+        "((0.9969590698500084+0.011475286307447121j), 0.011871371109312162, 0)",
+        "((0.9994906024293492+0.0010452067204606151j), 0.0011627308258926477, 0)",
         "((1.0002842465086799+0.0023538617873916337j), 0.002370962123661875, 0)",
-        "((1.0001484007412242+0.0001286961465331302j), 0.0001964318663770755, 0)",
-        "((0.9974146447899847+5.241924364656132e-05j), 0.002585886567322316, 0)",
-        "((0.9987950902297109-0.0008829646937308911j), 0.0014937985824445628, 0)",
-        "((0.09593461364609279-0.0023689405281082355j), 0.004705235959253129, 0)",
-        "((0.19059346175889444+0.0032602057984491423j), 0.009955496146833814, 0)",
-        "((0.14937299426081654-0.0005509186635733589j), 0.0008346541624184479, 0)",
-        "((0.0493746545682183-0.00106158040139941j), 0.0012320754269465701, 0)",
-        "((0.10057052340586482+0.050135241260529456j), 0.0005863336551735595, 0)",
-        "((-0.09950560756743868+0.09976427430322812j), 0.0005477138682674549, 0)",
-        "((-4.751224007297834e-06+0.3006431845469116j), 0.0006432020953910484, 0)",
-        "((0.49080522188413694+0.0003410544975557619j), 0.00920110117161295, 0)",
-        "((0.5872393241599755+0.012319232650385946j), 0.017736920279138653, 0)",
-        "((0.7489446227811778+0.00017896328027492426j), 0.0010704433332482653, 0)",
-        "((0.5993879543435431+0.0006960277356858628j), 0.0009268519269180703, 0)",
-        "((-0.0002812531257488447+0.7006260924846575j), 0.0006863636937426844, 0)",
-        "((0.5984459046266976-0.398999184871798j), 0.0018484705434921264, 0)",
-        "((-0.7997165489529777+0.00022299293875004852j), 0.000360652667798857, 0)",
+        "((1.0001484007412245+0.0001286961465331279j), 0.00019643186637724176, 0)",
+        "((0.9974146447899841+5.2419243646442784e-05j), 0.0025858865673228687, 0)",
+        "((0.9987950902297114-0.0008829646937308911j), 0.0014937985824442046, 0)",
+        "((0.09593461364609276-0.002368940528108235j), 0.004705235959253153, 0)",
+        "((0.19059346175889452+0.003260205798449154j), 0.009955496146833739, 0)",
+        "((0.14937299426081654-0.0005509186635733578j), 0.0008346541624184473, 0)",
+        "((0.04937465456821831-0.0010615804013994095j), 0.0012320754269465662, 0)",
+        "((0.10057052340586488+0.050135241260529484j), 0.0005863336551736199, 0)",
+        "((-0.09950560756743858+0.09976427430322807j), 0.0005477138682675665, 0)",
+        "((-4.751224007296652e-06+0.30064318454691213j), 0.0006432020953916035, 0)",
+        "((0.4908052218841369+0.0003410544975557624j), 0.009201101171613005, 0)",
+        "((0.5872393241599754+0.012319232650385923j), 0.017736920279138715, 0)",
+        "((0.7489446227811777+0.0001789632802749259j), 0.001070443333248375, 0)",
+        "((0.599387954343543+0.0006960277356858628j), 0.0009268519269181437, 0)",
+        "((-0.0002812531257488434+0.7006260924846575j), 0.0006863636937426839, 0)",
+        "((0.5984459046266974-0.398999184871798j), 0.0018484705434922198, 0)",
+        "((-0.7997165489529781+0.0002229929387500497j), 0.000360652667798596, 0)",
     ),
     ('fat:3', 0.25): (
-        "((0.9957675835406522-0.0005154314592009164j), 0.004263686043142968, 28242)",
-        "((0.9972405118178382-0.0007390601521592491j), 0.002856743764498328, 17401)",
-        "((0.9980725530621596-0.0012898992819446917j), 0.002319243811191878, 9513)",
-        "((0.9973465052287855-0.0008599972891270098j), 0.00278937803787301, 17391)",
-        "((0.9991460036026234-0.00027967800701329267j), 0.0008986265266166687, 11493)",
-        "((0.9971727283626752-0.0002975863860630017j), 0.002842889826987869, 10604)",
-        "((0.9976306272452744-0.00041179941005813504j), 0.002404892098402793, 8084)",
-        "((0.10050815262241762-1.7131028859663637e-06j), 0.0005081555100472663, 28242)",
-        "((0.200524194186331-4.54626456406765e-05j), 0.0005261619495287094, 17401)",
-        "((0.15006136230299527+0.00016663766043266523j), 0.00017757658095412363, 9513)",
-        "((0.050106832687227223+5.537123989316819e-05j), 0.00012032953613928689, 17391)",
+        "((0.9957675835406522-0.0005154314592009159j), 0.004263686043142968, 28242)",
+        "((0.9972405118178382-0.0007390601521592495j), 0.0028567437644983285, 17401)",
+        "((0.9980725530621596-0.001289899281944692j), 0.002319243811191878, 9513)",
+        "((0.9973465052287855-0.0008599972891270101j), 0.00278937803787301, 17391)",
+        "((0.9991460036026232-0.0002796780070132932j), 0.0008986265266168799, 11493)",
+        "((0.9971727283626752-0.00029758638606298043j), 0.002842889826987867, 10604)",
+        "((0.9976306272452744-0.00041179941005813704j), 0.002404892098402793, 8084)",
+        "((0.10050815262241762-1.7131028859661588e-06j), 0.0005081555100472663, 28242)",
+        "((0.200524194186331-4.5462645640676575e-05j), 0.0005261619495287094, 17401)",
+        "((0.15006136230299527+0.0001666376604326656j), 0.00017757658095412398, 9513)",
+        "((0.05010683268722723+5.537123989316841e-05j), 0.00012032953613929315, 17391)",
         "((0.10032549008348907+0.0502956302449136j), 0.00043970562443228705, 11493)",
-        "((-0.09989202093082136+0.10028465065601123j), 0.0003044428934107497, 10604)",
-        "((0.0001634680914207013+0.29987289545975715j), 0.0002070685419446188, 8084)",
-        "((0.504561319032542+0.00047564042355223527j), 0.004586051147681045, 28242)",
-        "((0.6032441716208836+0.00022145468421600213j), 0.003251721341521748, 17401)",
-        "((0.7518792014254685-0.00040519346542849293j), 0.0019223890714183639, 9513)",
-        "((0.6033470370177224+9.790277489195504e-05j), 0.0033484685680674705, 17391)",
-        "((6.347521426349995e-05+0.7038971595030291j), 0.0038976763968903657, 11493)",
-        "((0.6009558220870301-0.40061463438358685j), 0.0011363851844959293, 10604)",
-        "((-0.8013219685551278+0.0006438368685924933j), 0.0014704172108981953, 8084)",
+        "((-0.09989202093082132+0.10028465065601123j), 0.0003044428934107645, 10604)",
+        "((0.00016346809142070293+0.29987289545975715j), 0.00020706854194462007, 8084)",
+        "((0.504561319032542+0.00047564042355223554j), 0.004586051147681045, 28242)",
+        "((0.6032441716208836+0.00022145468421600227j), 0.003251721341521748, 17401)",
+        "((0.7518792014254684-0.0004051934654284928j), 0.0019223890714182552, 9513)",
+        "((0.6033470370177225+9.790277489195527e-05j), 0.003348468568067581, 17391)",
+        "((6.347521426349971e-05+0.703897159503029j), 0.0038976763968902547, 11493)",
+        "((0.60095582208703-0.40061463438358674j), 0.001136385184495776, 10604)",
+        "((-0.801321968555128+0.0006438368685924955j), 0.0014704172108983959, 8084)",
     ),
 }
 
@@ -880,20 +880,20 @@ def test_reproducing_batch_golden_seven_points(key, monkeypatch):
 # points and the chunks' 4096-sample evaluation blocks straddle them.
 GOLDEN_REPRODUCING_MARGIN = {
     "fat:2": (
-        "((1.00014069974921+0.00022067977153768334j), 0.00026171736853648753, 0)",
-        "((0.9995627353508146-0.0005021190013527327j), 0.0006658257016266838, 0)",
-        "((0.047507526880754096+0.00040717362519706603j), 0.0025255123462813523, 0)",
+        "((1.0001406997492102+0.00022067977153768345j), 0.00026171736853660695, 0)",
+        "((0.9995627353508146-0.0005021190013527324j), 0.0006658257016266836, 0)",
+        "((0.04750752688075409+0.00040717362519706587j), 0.002525512346281359, 0)",
         "((0.09606926684555833+0.04787484661024398j), 0.004468438212778432, 0)",
-        "((0.5793983544632542-4.251630182014801e-05j), 0.02060168940785292, 0)",
-        "((0.000543218491575187+0.6747708389672418j), 0.025235008475259786, 0)",
+        "((0.5793983544632543-4.251630182014814e-05j), 0.02060168940785281, 0)",
+        "((0.0005432184915751868+0.6747708389672418j), 0.025235008475259786, 0)",
     ),
     "thin:3": (
-        "((0.9990489718781042-0.0017919507043716594j), 0.0020286798208526717, 0)",
-        "((1.0013030576850301+0.0006582122497797814j), 0.0014598639307402143, 0)",
-        "((0.03935355001978551-0.0004214919865664657j), 0.010654790128198161, 0)",
-        "((0.07739225436335072+0.03915390887603237j), 0.025074845073117486, 0)",
-        "((0.577618064162176-0.00026350976668870725j), 0.02238348697691248, 0)",
-        "((-0.0006042188780289266+0.6752562586151513j), 0.02475111751361624, 0)",
+        "((0.9990489718781039-0.00179195070437166j), 0.0020286798208527766, 0)",
+        "((1.0013030576850301+0.0006582122497797795j), 0.0014598639307402135, 0)",
+        "((0.0393535500197855-0.0004214919865664654j), 0.010654790128198168, 0)",
+        "((0.07739225436335073+0.03915390887603238j), 0.025074845073117472, 0)",
+        "((0.5776180641621758-0.0002635097666887049j), 0.0223834869769127, 0)",
+        "((-0.0006042188780289245+0.6752562586151513j), 0.02475111751361624, 0)",
     ),
 }
 
