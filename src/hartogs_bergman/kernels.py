@@ -244,18 +244,22 @@ def _monomial(x, y, a: int, b: int):
 # its thread pool when it has more than one thread, and the pool then spins
 # between calls on the cores that the stream's helper thread needs: with the
 # thread count left at its default of 2, the reproducing grid took twice as
-# long.  Products are therefore taken in column slices below that size.  No
-# slice is one column wide, which numpy would hand to gemv, so the slices
-# give the bits of the whole product.
+# long.  Products are therefore taken in column slices below that size.  The
+# slices are a power of two wide, at least 64 columns, with the last one
+# taking the rest; none is one column wide, which numpy would hand to gemv.
+# So they give the bits of the whole product.
 _THREADED_PRODUCT = 2**16
 
 
 def _product(a, b):
-    """a @ b on complex arrays, in column slices of fewer than _THREADED_PRODUCT multiply-adds."""
+    """a @ b on complex arrays, in column slices of fewer than _THREADED_PRODUCT
+    multiply-adds where 64 columns allow it."""
     n = b.shape[1]
     if a.size * n < _THREADED_PRODUCT:
         return a @ b
-    width = 1 << max(((_THREADED_PRODUCT - 1) // a.size).bit_length() - 1, 0)
+    width = 64
+    while 2 * width * a.size < _THREADED_PRODUCT:
+        width *= 2
     out = np.empty((a.shape[0], n), dtype=np.complex128)
     cuts = [*range(0, n - 1, width), n]
     for lo, hi in zip(cuts, cuts[1:]):

@@ -391,21 +391,6 @@ class TestPointKernels:
         assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want))
         assert flagged.tolist() == want_flagged.tolist()
 
-    def test_formula_is_read_at_each_call(self, monkeypatch):
-        # A mutant kernel_factors is expanded by the next call, not a remembered one.
-        spec, z1, z2 = DomainSpec.fat(3), [0.1], [0.5]
-        before = point_kernels(spec, z1, z2)
-        formula = kernels.kernel_factors
-
-        def mutant(spec, s, t, thin_variant="1-t"):
-            num, const, top, curve = formula(spec, s, t, thin_variant)
-            return num, const, 1.0 - s, curve
-
-        monkeypatch.setattr(kernels, "kernel_factors", mutant)
-        after = point_kernels(spec, z1, z2)
-        assert after.exponents != before.exponents
-        assert after.q_rows.tolist() != before.q_rows.tolist()
-
     @pytest.mark.parametrize("text", ["fat:2", "classical", "thin:3", "bidisc"])
     def test_nan_and_flag_exactly_where_the_denominator_is_zero(self, text):
         # t = 1 zeroes the factor 1 - t of every default kernel; the dyadic

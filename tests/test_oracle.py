@@ -979,21 +979,19 @@ def test_reproducing_batch_on_the_widest_table_holds_two_chunks():
     assert peak <= 24 * 2**20
 
 
-def _fat_top_mutant(formula):
-    # kernel_factors with the fat kernels' top 1 - t replaced by 1 - s.
-    def mutant(spec, s, t, thin_variant="1-t"):
-        num, const, top, curve = formula(spec, s, t, thin_variant)
-        return num, const, 1.0 - s if spec.kind is domain.DomainKind.FAT else top, curve
-
-    return mutant
-
-
 def test_reproducing_batch_reads_kernel_factors_on_both_threads(monkeypatch):
-    # A mutant formula moves the estimates, and the helper's blocks use it too:
-    # a batch that the helper shares equals one with every block on the caller.
+    # A mutant formula (the fat top 1 - s for 1 - t) moves the estimates of
+    # the next call, and the helper's blocks use it too: a batch that the
+    # helper shares equals one with every block on the caller.
     run = TestHandOff._run
     library = run("reproducing", 200_001, seed=66)
-    monkeypatch.setattr(kernels, "kernel_factors", _fat_top_mutant(kernels.kernel_factors))
+    formula = kernels.kernel_factors
+
+    def mutant(spec, s, t, thin_variant="1-t"):
+        num, const, top, curve = formula(spec, s, t, thin_variant)
+        return num, const, 1.0 - s, curve
+
+    monkeypatch.setattr(kernels, "kernel_factors", mutant)
     helper_started = threading.Event()
 
     def on_call(is_caller):
