@@ -819,14 +819,14 @@ GOLDEN_REPRODUCING_SEVEN = {
         "((0.9994906024293492+0.0010452067204606151j), 0.0011627308258926477, 0)",
         "((1.0002842465086799+0.0023538617873916337j), 0.002370962123661875, 0)",
         "((1.0001484007412245+0.0001286961465331279j), 0.00019643186637724176, 0)",
-        "((0.9974146447899841+5.2419243646442784e-05j), 0.0025858865673228687, 0)",
+        "((0.9974146447899843+5.241924364644254e-05j), 0.0025858865673226467, 0)",
         "((0.9987950902297114-0.0008829646937308911j), 0.0014937985824442046, 0)",
         "((0.09593461364609276-0.002368940528108235j), 0.004705235959253153, 0)",
         "((0.19059346175889452+0.003260205798449154j), 0.009955496146833739, 0)",
         "((0.14937299426081654-0.0005509186635733578j), 0.0008346541624184473, 0)",
         "((0.04937465456821831-0.0010615804013994095j), 0.0012320754269465662, 0)",
         "((0.10057052340586488+0.050135241260529484j), 0.0005863336551736199, 0)",
-        "((-0.09950560756743858+0.09976427430322807j), 0.0005477138682675665, 0)",
+        "((-0.09950560756743858+0.09976427430322804j), 0.0005477138682675784, 0)",
         "((-4.751224007296652e-06+0.30064318454691213j), 0.0006432020953916035, 0)",
         "((0.4908052218841369+0.0003410544975557624j), 0.009201101171613005, 0)",
         "((0.5872393241599754+0.012319232650385923j), 0.017736920279138715, 0)",
