@@ -330,8 +330,8 @@ def _fill_polar(rng: np.random.Generator, out: np.ndarray, r: np.ndarray) -> Non
     done = 0
     while done < len(r):
         need = len(r) - done
-        # The operations of (x + iy) r / sqrt(q) in their order, each written
-        # in place or into the output, so no temporary of the draw's size is made.
+        # (x + iy) r / sqrt(q) operation by operation, in place or into the
+        # output where numpy allows: the bits of the expression written out.
         xy = rng.random((2, need + need // 3 + 64))
         xy *= 2.0
         xy -= 1.0

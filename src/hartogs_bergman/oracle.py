@@ -472,7 +472,7 @@ def _drawn_ahead(helper, stream):
 # complex128, however many points there are, and every tile has this many
 # rows, because a one-row product rounds unlike a wider one.  The per-block
 # table of sample powers adds a block per term (13 for fat:3, 33 for fat:8).
-# Larger tiles made the grid slower, not faster.  The stream is read in chunks
+# Tiles of 8 points were no faster, and of 24 slower.  The stream is read in chunks
 # of 32 blocks (4 MiB of samples), which end on the sampler's 16,384-point
 # blocks, so only a stream's last block is short.  Constants, so that no
 # estimate depends on the number of pairs or points.
