@@ -80,10 +80,8 @@ NEAR_SINGULAR_THRESHOLD = 1e-30
 
 def near_singular(den):
     """The one near-singular test, |den| < NEAR_SINGULAR_THRESHOLD (read at
-    each call): a bool for a scalar denominator, a boolean mask for an array."""
-    if isinstance(den, np.ndarray):
-        return np.abs(den) < NEAR_SINGULAR_THRESHOLD
-    return bool(abs(den) < NEAR_SINGULAR_THRESHOLD)
+    each call), as a boolean mask over an array of denominators."""
+    return np.abs(den) < NEAR_SINGULAR_THRESHOLD
 
 
 ThinVariant = Literal["1-t", "1-s"]
@@ -164,17 +162,9 @@ def kernel_factors(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARI
 
 
 def kernel_num_den(spec: DomainSpec, s, t, thin_variant: ThinVariant = THIN_VARIANT_DEFAULT):
-    """(num, const * top^2 * curve^2) from ``kernel_factors``; scalar or array args."""
+    """(num, top^2 const curve^2) from ``kernel_factors``; scalar or array args."""
     num, const, top, curve = kernel_factors(spec, s, t, thin_variant)
-    # The factors are this call's own: squared and multiplied in place, top becomes den.
-    top **= 2
-    curve **= 2
-    top *= const
-    if np.iscomplexobj(top) or not np.iscomplexobj(curve):
-        top *= curve
-    else:  # a real top array cannot hold the complex product (s and t of mixed dtypes)
-        top = top * curve
-    return num, top
+    return num, top**2 * const * curve**2
 
 
 def _quotient(num, den, out=None):
@@ -316,15 +306,14 @@ class PointKernels:
         return _quotient(num, q, out=num)
 
 
-def point_kernels(spec: DomainSpec, z1, z2,
-                  thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> PointKernels:
+def point_kernels(spec: DomainSpec, z1, z2) -> PointKernels:
     """The kernel at the points (z1[j], z2[j]), expanded from ``kernel_factors`` at this call.
 
     The points' coefficients are Python complex products, so a point's row
     does not depend on the other points.  Membership is the caller's to check.
     """
     s, t = _Expansion({(1, 0): 1.0}), _Expansion({(0, 1): 1.0})
-    num, const, top, curve = kernel_factors(spec, s, t, thin_variant)
+    num, const, top, curve = kernel_factors(spec, s, t)
     num, q = _Expansion.of(num).terms, (_Expansion.of(top) * curve).terms
     points = [(complex(x), complex(y)) for x, y in zip(z1, z2)]
 
@@ -337,14 +326,14 @@ def point_kernels(spec: DomainSpec, z1, z2,
 
 def kernel(spec: DomainSpec, z: Point2C, w: Point2C, *,
            thin_variant: ThinVariant = THIN_VARIANT_DEFAULT) -> KernelValue:
-    """The kernel at one pair, both points checked; every scalar entry point lands here."""
+    """The kernel at one pair, both points checked, as the one-element row of
+    ``kernel_values``; every scalar entry point lands here."""
     require_inside(spec, z, name="z")
     require_inside(spec, w, name="w")
-    s = z.z1 * w.z1.conjugate()
-    t = z.z2 * w.z2.conjugate()
+    s, t = pair_invariants(*np.array([[z.z1], [z.z2], [w.z1], [w.z2]]))
     num, den = kernel_num_den(spec, s, t, thin_variant)
-    value = num / den if den != 0 else complex("nan")
-    return KernelValue(value, num, den, near_singular(den))
+    value, flagged = _quotient(num, den)
+    return KernelValue(complex(value[0]), complex(num[0]), complex(den[0]), bool(flagged[0]))
 
 
 def bergman_fat(k: int, z: Point2C, w: Point2C) -> KernelValue:
@@ -366,11 +355,13 @@ def bergman_reference(spec: DomainSpec, z: Point2C, w: Point2C) -> KernelValue:
 
 
 def diagonal(spec: DomainSpec, z: Point2C) -> float:
-    """B(z, z), real and strictly positive on the diagonal."""
-    kv = kernel(spec, z, z)
-    v = kv.value
-    if not (abs(v.imag) <= 1e-12 * abs(v)):
-        raise ArithmeticError(f"diagonal value {v} is not numerically real")
-    if not v.real > 0.0:
-        raise ArithmeticError(f"diagonal value {v.real} is not positive")
-    return v.real
+    """B(z, z): the real part of ``kernel`` at (z, z), which must be positive.
+
+    The imaginary part is rounding: z1 conj(z1) keeps the rounding error of
+    its cross products there, and the kernel's conditioning near the boundary
+    amplifies it (past 1e-12 of |B| at up to 25 of 10^5 uniform points).
+    """
+    v = kernel(spec, z, z).value.real
+    if not v > 0.0:
+        raise ArithmeticError(f"diagonal value {v} is not positive")
+    return v

@@ -222,7 +222,9 @@ def covering_residuals(k: int, z1, z2, w1, w2) -> np.ndarray:
               _inside(fat, "w", w1, w2)]
     checks += [_inside(classical, f"Phi_{j}(w)", w1, root) for j, root in enumerate(roots, 1)]
     _raise_first_fault(checks, flagged_f | flagged_c.any(axis=0), "covering rule")
-    return _relative_residuals(u * b_fat, (b_classical * jacs.conjugate()).sum(axis=0))
+    # Branch terms added row by row in branch order, as on a batch: on one pair
+    # .sum(axis=0) would reduce a contiguous axis pairwise.
+    return _relative_residuals(u * b_fat, sum(b_classical * jacs.conjugate()))
 
 
 def invariance_sides(m: ProperMap, src: DomainSpec, dst: DomainSpec, z1, z2, w1, w2, *,

@@ -109,10 +109,12 @@ def imported_names(path: Path):
 
 def test_only_kernels_turns_a_denominator_into_a_trusted_value():
     # kernels divides and flags: kernel_values on pairs, point_kernels on
-    # points x samples and kernel on one pair.  The checks read their
-    # quotients and flags from these, never from num and den.
+    # points x samples and kernel on one pair, all through one quotient.  The
+    # checks read their quotients and flags from these, never from num and den.
     assert {path.stem for path in PACKAGE_DIR.glob("*.py")
             if calls_to(path, "near_singular")} == {"kernels"}
+    # Within kernels, only the quotient every entry point shares flags.
+    assert calls_to(PACKAGE_DIR / "kernels.py", "near_singular") == 1
     for stem, entry in (("oracle", "point_kernels"), ("transforms", "kernel_values"),
                         ("acceptance", "kernel_values")):
         names = set(imported_names(PACKAGE_DIR / f"{stem}.py"))
