@@ -193,20 +193,20 @@ class TestValueStructure:
 _GOLDEN_PAIRS = 300
 _CORNER = Point2C(1.0 - 2.6e-14, 1.0 - 1.2e-14)
 GOLDEN_SCALAR = {
-    "fat:1": "086d9e1f0e648870ae04de0d122001e6067771dd987c2f6030552dcc72d0e7cf",
-    "fat:2": "bc5f74a40844e8bf0891f89ff60a84db2e922e5e51d493da77ca48dddbb03f9d",
-    "fat:3": "a21cd9d454e2bb7eb289f4dd425cb23d943a842f9c51b159f75f874ae06c7839",
-    "fat:4": "014e8f55fa8a84194bcf0b5d7b662a762ad6a38db238d84f532c84b3ca502c45",
-    "fat:5": "ad71c08afe1cc786a68f89df8a9799c5ae38de38755c4bcf56c91360f52ff85f",
-    "fat:6": "6da758266b3b263e7f6fbdbdc4c36ea5d22433635ce6b35a739ed3a049a8c54e",
-    "fat:7": "bb7af5c41e33d4a1913c51da7d6beb93571e37816a459e48ec700f819069b2e9",
-    "fat:8": "61bd867f675f0bf234c18d3911fe7a67a3d1978d30cc80ee1003d635e008bff9",
-    "thin:2": "66044f2256bfb6be5e1c98b833f7b508cc02b8212af7bb9c22b16ed86281edc2",
-    "thin:3": "1b3b60f6fc6b71700190bb519d04ed4ccba4c6ef4f93f6136d26148625378147",
-    "thin:4": "f7a4d1b0354abb75af4cc48ba2c1f177dbc4922f9a9c53c6e11a26463303d8dd",
-    "thin:5": "27fb7dafec4dc53de849b3590fc190d3c5f0b3bc677447855ff865494e0043cc",
-    "bidisc": "5b65e1e1a658cd6ea91af28d9e2bc33723f3a8f409e2c5ea125cf6227a4ac75f",
-    "punctured-bidisc": "5b65e1e1a658cd6ea91af28d9e2bc33723f3a8f409e2c5ea125cf6227a4ac75f",
+    "fat:1": "74ed170239c85970c527779223f2db51e4abb9baa47fa8f3a562be9d30083f34",
+    "fat:2": "aae10e7fb7d565109ef62ddcce431f4b244372b7d13ddad7784a9884b7f3fa74",
+    "fat:3": "9064c7a1f362553c1dbc21b483fcd5a1469bf33d81262fa088a34da638534857",
+    "fat:4": "f2862a49d3dda8a28d76708f044b7ed5e2f4936f86579ded2c32c6affe7f4789",
+    "fat:5": "23ca7ec5e98bfcf0b96da0c9fd8be942ad79f6139c8c944d440b961a8d5294c2",
+    "fat:6": "b2b280c800073899f74da072ff37b065a036c927143326f696d0a0f799860540",
+    "fat:7": "45e4038a001bab06674ae89780608ccabdff08fce7572e27006688459f7ef7b4",
+    "fat:8": "1473f1d1fb09587a7a02bc324a8e870104853ecaeee4ff5567fda73aa1b5cf16",
+    "thin:2": "338e22fcb90028abadae4db048e66484b634a67dc8168e3c13ead2c6352137e6",
+    "thin:3": "79abd5b762ac7a8ac01fb0e9d74e03bd0307b4c674f831ec6be8a408332fd8dd",
+    "thin:4": "371746902162bc141905e578f05949f6a1958706675bf982225c53db46093da7",
+    "thin:5": "31f1e33c62b5ba46ef7654416cdecc6ebc194591440a75981f9ccb0be08d4589",
+    "bidisc": "cb7c718d11a83deab64cb0bec149ef595db41e3301433f366cf5476a7da47e37",
+    "punctured-bidisc": "cb7c718d11a83deab64cb0bec149ef595db41e3301433f366cf5476a7da47e37",
     "corner": "05e3c5f22a329c5fcc4bc7f40d1fb25c3d23e90a6b2163a771347df782f8037f",
 }
 
@@ -518,13 +518,13 @@ def test_num_den_takes_a_real_array_with_a_complex_one(text, variant):
 _EVAL_POINTS = ["--z", "0.05,0.02", "0.6,-0.1", "--w", "0.04,-0.01", "0.5,0.2"]
 GOLDEN_EVAL = {
     ("fat:4", "1-t"):
-        "1c43d927fb61c9153fd65fb5a6cd3b166179088b9cafb97ee86b1961106e42f6",
+        "d89c155e07ab07db671491db0d25e347f63781f52de8dea73b89d9fbd345b0b4",
     ("thin:3", "1-t"):
-        "3fe001eb4049f059193c699160f986df4b752644b41d6b40daa12dbc23ffaecf",
+        "71e072796fd0e7d77ccb5ad18b3f96b94b4c3988bf998ccd31b1aaebdbe26369",
     ("thin:3", "1-s"):
-        "20545104388f3cc9075dea51c0ac618ef8f6de8810f242b721d62b7a6a321859",
+        "624c9119cdc24e246e5d6803b2bf649b8b427a4e3480b32777f8a39f78b607b7",
     ("bidisc", "1-t"):
-        "b1be9d44c1633a75a32f2a0e4715a969ccfbb53a0e1081879eb3a4fa1d4f3a77",
+        "3747dd74041fc8ea077d667bf10be7c9d9dcac141f7616c5fa577c71fa421edc",
 }
 
 
