@@ -32,6 +32,7 @@ from .kernels import (
     fat_quadratic,
     kernel_factors,
     kernel_num_den,
+    pair_invariants,
 )
 
 __all__ = [
@@ -112,8 +113,8 @@ def thin_nonvanishing(k: int, n: int, seed: int) -> NonvanishingReport:
         raise ValueError(f"pair count must be >= 1, got {n}")
     spec = DomainSpec.thin(k)
     z1, z2 = sample_uniform_arrays(spec, 2 * n, seed)
-    s = z1[:n] * np.conj(z1[n:])
-    t = z2[:n] * np.conj(z2[n:])
+    s, t = pair_invariants(z1[:n], z2[:n], z1[n:], z2[n:])
+    del z1, z2  # the samples go before the evaluation's temporaries arrive
     num, den = kernel_num_den(spec, s, t)
     values = np.abs(num / den)
     num_abs = np.abs(num)
