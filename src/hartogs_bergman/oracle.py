@@ -469,8 +469,8 @@ def _drawn_ahead(helper, stream):
 
 # Samples per evaluation block in both integrators, and points per kernel
 # tile in the reproducing one: a tile's products are at most 256 KiB of
-# complex128, however many points there are, and every tile has this many
-# rows, because a one-row product rounds unlike a wider one.  The per-block
+# complex128, however many points there are, and no tile has one row,
+# because a one-row product rounds unlike a wider one.  The per-block
 # table of sample powers adds a block per term (13 for fat:3, 33 for fat:8).
 # Tiles of 8 points were no faster, and of 24 slower.  The stream is read in chunks
 # of 32 blocks (4 MiB of samples), which end on the sampler's 16,384-point
@@ -561,10 +561,10 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
 
     The stream is ``_block_sums``'s.  The kernel is expanded once per call
     (``point_kernels``).  Each block makes its (len(fs), width) function
-    values F and its table of sample powers, then per tile of _POINT_TILE
-    points the kernel values K, whose flagged samples read 0, and, for each
-    point z_j, the sums F @ K[j] into that block's slot, so neither the
-    tiling nor the other points change a bit of any estimate.
+    values F and its table of sample powers, then per tile of at most
+    _POINT_TILE points the kernel values K, whose flagged samples read 0,
+    and, for each point z_j, the sums F @ K[j] into that block's slot, so
+    neither the tiling nor the other points change a bit of any estimate.
     """
     if n < 1_000:
         raise ValueError(f"need at least 10^3 samples, got {n}")
@@ -575,9 +575,9 @@ def reproducing_residuals_batch(spec: DomainSpec, fs, zs, n: int,
     if not fs or not zs:
         return [[] for _ in fs]
     vol = volume(spec)
-    # The last tile is filled up with copies of the last point, whose rows are
-    # dropped: every tile is one product of _POINT_TILE rows.
-    padded = (*zs, *(zs[-1],) * (-len(zs) % _POINT_TILE))
+    # A last tile of one row gets a copy of the last point, whose row is
+    # dropped: every tile is one product of 2 to _POINT_TILE rows.
+    padded = (*zs, zs[-1]) if len(zs) % _POINT_TILE == 1 else tuple(zs)
     kernel = point_kernels(spec, [z.z1 for z in padded], [z.z2 for z in padded])
 
     def block(v1, v2):
