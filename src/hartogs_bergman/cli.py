@@ -55,6 +55,12 @@ _MAPS = {kind.value: kind for kind in MapKind if kind is not MapKind.POWER}
 
 _PATHS = {p.value: p for p in PathKind}
 
+# Largest --kmax accepted.  lqk and ramadanov keep every exponent's coefficient
+# polynomials, so memory grows like kmax^2 (--kmax 100000 ran out); identities
+# grows like kmax^3 in time (1.4 s at 100, 6.2 s at 150, 17.9 s at 200).
+_KMAX_KERNELS = 1_000
+_KMAX_IDENTITIES = 150
+
 
 class _Parser(argparse.ArgumentParser):
     # Usage errors must exit 1, not argparse's default 2.
@@ -110,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin-variant", choices=("1-t", "1-s"), default=THIN_VARIANT_DEFAULT)
 
     p = sub.add_parser("identities", help="exact coefficient-polynomial identities")
-    p.add_argument("--kmax", type=int, default=50)
+    p.add_argument("--kmax", type=int, default=50,
+                   help=f"check k = 2..kmax, kmax <= {_KMAX_IDENTITIES}")
 
     p = sub.add_parser("series-compare", help="closed form vs orthonormal series")
     p.add_argument("--spec", type=_spec_arg, required=True)
@@ -154,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin-variant", choices=("1-t", "1-s"), default=THIN_VARIANT_DEFAULT)
 
     p = sub.add_parser("lqk", help="kernel zero witnesses / thin nonvanishing scan")
-    p.add_argument("--kmax", type=int, default=50, help="fat witnesses for k = 2..kmax")
+    p.add_argument("--kmax", type=int, default=50,
+                   help=f"fat witnesses for k = 2..kmax, kmax <= {_KMAX_KERNELS}")
     p.add_argument("--thin-k", type=int, help="scan the thin triangle of this exponent instead")
     p.add_argument("--pairs", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
@@ -176,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_tolerance_arg, default=10.0, help="tail quotient bound")
 
     p = sub.add_parser("ramadanov", help="kernel convergence table in the exponent (CSV)")
-    p.add_argument("--kmax", type=int, default=25)
+    p.add_argument("--kmax", type=int, default=25,
+                   help=f"table rows k = 1..kmax, kmax <= {_KMAX_KERNELS}")
     p.add_argument("--point", type=_complex_arg, nargs=2, action="append", metavar="RE,IM",
                    help="diagonal evaluation point; repeatable (default: three built-ins)")
 
@@ -225,7 +234,13 @@ def _cmd_eval(args):
     return results, 0
 
 
+def _require_kmax_at_most(args, bound: int) -> None:
+    if args.kmax > bound:
+        raise ValueError(f"--kmax must be <= {bound}, got {args.kmax}")
+
+
 def _cmd_identities(args):
+    _require_kmax_at_most(args, _KMAX_IDENTITIES)
     report = verify_coefficient_identities(args.kmax)
     results = {
         "k_max": report.k_max,
@@ -320,6 +335,7 @@ def _cmd_lqk(args):
         return results, 0 if rep.zero_hits == 0 else 2
     if args.kmax < 2:
         raise ValueError(f"--kmax must be >= 2, got {args.kmax}")
+    _require_kmax_at_most(args, _KMAX_KERNELS)
     witnesses = [lqk_witness(k) for k in range(2, args.kmax + 1)]
     worst = max(w.numerator_abs for w in witnesses)
     results = {
@@ -375,6 +391,7 @@ def _cmd_ramadanov(args):
         points = [Point2C(p[0], p[1]) for p in args.point]
     else:
         points = RAMADANOV_POINTS
+    _require_kmax_at_most(args, _KMAX_KERNELS)
     table = ramadanov_table(points, args.kmax)
     header = ["k"] + [f"e_p{j}" for j in range(len(points))] + ["e_max"]
     rows = [

@@ -503,6 +503,19 @@ class TestUsageErrors:
         assert z1 == complex("-0.18968375475212276+0.025996740390411045j")
         assert contains(DomainSpec.classical(), Point2C(z1, z2))
 
+    @pytest.mark.parametrize("command,bound,work", [("identities", 150, "verify_coefficient_identities"),
+                                                    ("lqk", 1000, "lqk_witness"),
+                                                    ("ramadanov", 1000, "ramadanov_table")])
+    def test_kmax_one_past_its_bound_fails_at_once(self, capsys, monkeypatch, command, bound, work):
+        def never(*args):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, never)
+        code, out, err = run(capsys, command, "--kmax", str(bound + 1))
+        assert code == 1
+        assert out == ""
+        assert err == f"hartogs-bergman {command}: error: --kmax must be <= {bound}, got {bound + 1}\n"
+
 
 class TestParserReuse:
     """main builds one parser per process; each call must behave as on a fresh parser."""
