@@ -20,21 +20,23 @@ the resolution test can demonstrate its failure.
 ``kernel_factors`` is the only place these forms are written, for scalars
 and arrays alike; ``fat_quadratic`` gives the fat numerator's coefficients
 in t.  ``kernel_num_den`` multiplies the factors out, ``kernel`` is the one
-scalar entry point over it, and ``bergman_fat``, ``bergman_thin`` and
-``bergman_reference`` wrap ``kernel``.  Since fat(1) and thin(1) are the
-classical triangle, every gamma = 1 entry point returns the classical
-kernel, whichever thin variant is asked for.
+scalar entry point over it, and ``bergman_fat``, ``bergman_thin``,
+``bergman_reference`` and ``diagonal`` wrap ``kernel``.  Since fat(1) and
+thin(1) are the classical triangle, every gamma = 1 entry point returns
+the classical kernel, whichever thin variant is asked for.
 
 Numerator and denominator are returned separately: the numerator's zeros
 are what the Lu Qi-Keng analysis scans for, and a flag on the denominator
 (``near_singular``, the one such test) replaces silent infinities near
-t = s^k or t = 1.  Two array entry points return the quotient with its
-flag.  ``kernel_values`` takes arrays of pairs (s, t) through the factored
-form; the transformation rules and the series comparison read it.
-``point_kernels`` runs ``kernel_factors`` on polynomials in (s, t) and
-evaluates the expanded terms at fixed points against blocks of samples as
-two matrix products; the reproducing integrator reads it.  ``kernel`` is
-their scalar counterpart.
+t = s^k or t = 1.  Every entry point takes the quotient and its flag from
+``_quotient``.  ``kernel_values`` takes arrays of pairs (s, t) through the
+factored form; the transformation rules and the series comparison read
+it.  ``point_kernels`` runs ``kernel_factors`` on polynomials in (s, t)
+and evaluates the expanded terms at fixed points against blocks of
+samples as two matrix products; the reproducing integrator reads it.
+``kernel`` is a one-element view of ``kernel_values``: it evaluates the
+pair as one-element arrays, and its value, numerator, denominator and flag
+are the pair's row of a batch, bit for bit.
 """
 
 from __future__ import annotations
