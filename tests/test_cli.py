@@ -516,6 +516,21 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"hartogs-bergman {command}: error: --kmax must be <= {bound}, got {bound + 1}\n"
 
+    @pytest.mark.parametrize("command,bound,work", [("identities", 150, "verify_coefficient_identities"),
+                                                    ("lqk", 1000, "lqk_witness"),
+                                                    ("ramadanov", 1000, "ramadanov_table")])
+    def test_kmax_at_its_bound_reaches_the_work(self, capsys, monkeypatch, command, bound, work):
+        # The bound itself is accepted; the stand-in stops the command once
+        # the work begins.
+        def reached(*args):
+            raise ValueError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, reached)
+        code, out, err = run(capsys, command, "--kmax", str(bound))
+        assert code == 1
+        assert out == ""
+        assert err == f"hartogs-bergman {command}: error: {work} ran\n"
+
 
 class TestParserReuse:
     """main builds one parser per process; each call must behave as on a fresh parser."""

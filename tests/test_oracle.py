@@ -873,6 +873,22 @@ def test_reproducing_batch_golden_seven_points(key, monkeypatch):
     got = tuple(repr((r.estimate, r.residual, r.excluded)) for row in reports for r in row)
     assert got == GOLDEN_REPRODUCING_SEVEN[key]
 
+
+# Nine points: their first m run as one tile of m rows (m <= 4), or as full
+# tiles and a last one of 2 (one point padded), 2, 3 or 4 rows.
+_TILED_ZS = (*_GOLDEN_ZS7, Point2C(0.02 - 0.01j, -0.5 + 0.2j), Point2C(-0.03j, 0.4 + 0.4j))
+
+
+@pytest.mark.parametrize("m", range(2, len(_TILED_ZS) + 1))
+def test_reproducing_batch_reports_do_not_depend_on_the_tiling(m):
+    # Each point's reports in a batch of m points are those of its one-point
+    # batch, whose one row is padded to two, bit for bit.
+    spec, zs, n = DomainSpec.thin(3), _TILED_ZS[:m], 10_001
+    reports = oracle.reproducing_residuals_batch(spec, _GOLDEN_FS, zs, n, seed=45)
+    for j, z in enumerate(zs):
+        alone = oracle.reproducing_residuals_batch(spec, _GOLDEN_FS, (z,), n, seed=45)
+        assert [row[j] for row in reports] == [row[0] for row in alone]
+
 # The same functions and points under domain.BOUNDARY_MARGIN = 0.02,
 # reproducing_residuals_batch(spec, _GOLDEN_FS, _GOLDEN_ZS, 2_500_001,
 # seed=44): about a tenth (fat:2) or a quarter (thin:3) of the draws fall in
