@@ -180,14 +180,13 @@ def _inside_moduli(spec: DomainSpec, r1, r2):
     same verdict bit for bit, even within ulps of the margin.
     """
     top = 1.0 - r2 > BOUNDARY_MARGIN
-    if spec.kind is DomainKind.FAT:
-        return (r2 - ipow(r1, spec.k) > BOUNDARY_MARGIN) & top
+    if spec.kind in (DomainKind.FAT, DomainKind.CLASSICAL):
+        # ipow(r1, 1) is r1 itself: the classical test is the fat one at k = 1.
+        return (r2 - ipow(r1, spec.k or 1) > BOUNDARY_MARGIN) & top
     if spec.kind is DomainKind.THIN:
         # r2 - r1^(1/k) > margin, raised to the k-th power.
         d = r2 - BOUNDARY_MARGIN
         return (d > 0.0) & (r1 < ipow(d, spec.k)) & top
-    if spec.kind is DomainKind.CLASSICAL:
-        return (r2 - r1 > BOUNDARY_MARGIN) & top
     inside = (1.0 - r1 > BOUNDARY_MARGIN) & top
     if spec.kind is DomainKind.PUNCTURED_BIDISC:
         inside = inside & (r2 > BOUNDARY_MARGIN)
