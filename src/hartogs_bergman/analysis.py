@@ -28,10 +28,10 @@ from .domain import (
 from .kernels import (
     SingularEvaluation,
     bergman_fat,
-    bergman_reference,
     fat_quadratic,
     kernel_factors,
     kernel_num_den,
+    kernel_values,
     pair_invariants,
 )
 
@@ -72,7 +72,8 @@ def lqk_witness(k: int) -> ZeroWitness:
     For k >= 3 the pair (0, +-i/sqrt(k-1)) gives t = -1/(k-1), where the
     numerator reduces to (k-1) t^2 + t = 0.  For k = 2 that t is outside
     the domain, and a pair with s = -1/2 and t a root of
-    t^2 - (3/4) t + 1/4 works instead.
+    t^2 - (3/4) t + 1/4 works instead.  The numerator's modulus is
+    reported, not judged: each caller compares it with its own tolerance.
     """
     if k < 2:
         raise ValueError(f"the fat triangle has kernel zeros only for k >= 2, got {k}")
@@ -85,10 +86,7 @@ def lqk_witness(k: int) -> ZeroWitness:
         z = Point2C(0.0, complex(0.0, r))
         w = Point2C(0.0, complex(0.0, -r))
     kv = bergman_fat(k, z, w)  # membership is checked inside
-    num_abs = abs(kv.numerator)
-    if num_abs > 1e-12:
-        raise AssertionError(f"witness numerator {num_abs:.3e} is not a zero for k={k}")
-    return ZeroWitness(k, z, w, num_abs)
+    return ZeroWitness(k, z, w, abs(kv.numerator))
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,11 @@ def zero_locus_scan(
         raise ValueError(f"zero scan needs k >= 2, got {k}")
     if s_points < 1:
         raise ValueError("s_points must be >= 1")
-    s_grid = [float(s) for s in np.linspace(-1.0, 1.0, s_points + 2)[1:-1]]
-    quadratics = [fat_quadratic(k, s) for s in s_grid]
+    s_grid = np.linspace(-1.0, 1.0, s_points + 2)[1:-1]
+    coeffs = np.broadcast_arrays(*fat_quadratic(k, s_grid))  # quad(s) is constant for k = 2
+    s_list = s_grid.tolist()
     rows = []
-    for s, (a, b, c) in zip(s_grid, quadratics):
+    for s, a, b, c in zip(s_list, *(x.tolist() for x in coeffs)):
         roots = stable_quadratic_roots(a, b, c)
         realizable = tuple(realizable_args(k, s, r) for r in roots)
         residuals = tuple(
@@ -209,15 +208,13 @@ def zero_locus_scan(
             raise ValueError("t_abs must lie in (0, 1)")
         theta = np.linspace(0.0, 2.0 * np.pi, t_points, endpoint=False)
         t_circle = t_abs * np.exp(1j * theta)
-        for s, (a, b, c) in zip(s_grid, quadratics):
-            num = (a * t_circle + b) * t_circle + c
-            scale = np.maximum(np.abs(a * t_circle**2), np.maximum(np.abs(b * t_circle), abs(c)))
-            small = np.abs(num) < tol * np.maximum(scale, 1e-300)
-            for idx in np.nonzero(small)[0]:
-                t_val = complex(t_circle[idx])
-                cells.append(
-                    ZeroScanCell(s, t_val, float(abs(num[idx])), realizable_args(k, s, t_val))
-                )
+        a, b, c = (x[:, None] for x in coeffs)  # rows s, columns t
+        num = (a * t_circle + b) * t_circle + c
+        scale = np.maximum(np.abs(a * t_circle**2), np.maximum(np.abs(b * t_circle), np.abs(c)))
+        small = np.abs(num) < tol * np.maximum(scale, 1e-300)
+        for i, j in zip(*np.nonzero(small)):  # row-major: by s, then around the circle
+            s, t_val = s_list[i], complex(t_circle[j])
+            cells.append(ZeroScanCell(s, t_val, float(abs(num[i, j])), realizable_args(k, s, t_val)))
     return ZeroScan(k, tol, tuple(rows), tuple(cells))
 
 
@@ -230,20 +227,20 @@ class AsymptoticReport:
     tail_quotient: float  # max / min of the last 10 ratios
 
 
-def _diagonal_comparison_ratio(spec: DomainSpec, p: Point2C) -> float:
-    """B(z,z) times the boundary comparison quantity, in cancelled form.
+def _path_moduli(path: BoundaryPath):
+    """(|z1|, |z2|) of the path's samples, as two arrays."""
+    return np.abs(np.array([(p.z1, p.z2) for p in path.samples])).T
 
-    On the diagonal 1 - t = (1 - r2)(1 + r2) and t - s^k = (r2 - r1^k)(r2 + r1^k)
-    (thin: (r2^k - r1)(r2^k + r1)).  Up to sign the halves 1 + r2 and r2 + r1^k
-    (r2^k + r1) are the top and curve factors at ((-1)^(k+1) r1, -r2), so B(z,z)
-    times the squared boundary halves avoids the raw quotient's cancellations.
-    """
-    if not spec.is_triangle:
-        raise ValueError(f"diagonal asymptotics require a Hartogs triangle, got {spec}")
-    r1, r2 = abs(p.z1), abs(p.z2)
-    num, const, _, _ = kernel_factors(spec, r1 * r1, r2 * r2)
-    _, _, top, curve = kernel_factors(spec, r1 if (spec.k or 1) % 2 else -r1, -r2)
-    return num / (const * top**2 * curve**2)
+
+def _positive_values(path: BoundaryPath, values: np.ndarray, name: str) -> tuple[float, ...]:
+    """The values as floats, or SingularEvaluation naming the first sample
+    where one is not finite and positive (an underflowed denominator reads
+    inf or NaN there)."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        p = path.samples[bad[0]]
+        raise SingularEvaluation(f"{name} became {float(values[bad[0]])} at ({p.z1}, {p.z2})")
+    return tuple(values.tolist())
 
 
 def diagonal_ratio(spec: DomainSpec, path: BoundaryPath) -> AsymptoticReport:
@@ -251,15 +248,23 @@ def diagonal_ratio(spec: DomainSpec, path: BoundaryPath) -> AsymptoticReport:
 
     For thin triangles the second factor is (|z2|^k - |z1|)^2.  Bounded
     ratios along the path express the diagonal blow-up rate.
+
+    The product is taken in cancelled form.  On the diagonal
+    1 - t = (1 - r2)(1 + r2) and t - s^k = (r2 - r1^k)(r2 + r1^k) (thin:
+    (r2^k - r1)(r2^k + r1)).  Up to sign the halves 1 + r2 and r2 + r1^k
+    (r2^k + r1) are the top and curve factors at ((-1)^(k+1) r1, -r2), so
+    B(z,z) times the squared boundary halves avoids the raw quotient's
+    cancellations.
     """
-    ratios = []
-    for p in path.samples:
-        r = _diagonal_comparison_ratio(spec, p)
-        if not (math.isfinite(r) and r > 0.0):
-            raise SingularEvaluation(f"ratio became {r} at ({p.z1}, {p.z2})")
-        ratios.append(r)
+    if not spec.is_triangle:
+        raise ValueError(f"diagonal asymptotics require a Hartogs triangle, got {spec}")
+    r1, r2 = _path_moduli(path)
+    num, const, _, _ = kernel_factors(spec, r1 * r1, r2 * r2)
+    _, _, top, curve = kernel_factors(spec, r1 if (spec.k or 1) % 2 else -r1, -r2)
+    with np.errstate(all="ignore"):
+        ratios = _positive_values(path, num / (const * top**2 * curve**2), "ratio")
     tail = ratios[-10:]
-    return AsymptoticReport(path, tuple(ratios), min(ratios), max(ratios), max(tail) / min(tail))
+    return AsymptoticReport(path, ratios, min(ratios), max(ratios), max(tail) / min(tail))
 
 
 @dataclass(frozen=True)
@@ -273,18 +278,13 @@ def delta_rate(spec: DomainSpec, path: BoundaryPath) -> DeltaRateReport:
     """B(z,z) * delta(z)^2 along an origin path, with its tail quotient."""
     if path.kind is not PathKind.ORIGIN:
         raise ValueError(f"delta_rate expects an origin path, got {path.kind.value}")
-    values = []
-    for p in path.samples:
-        s = abs(p.z1) ** 2
-        t = abs(p.z2) ** 2
-        num, den = kernel_num_den(spec, s, t)
-        delta = boundary_distance(spec, p)
-        v = num / den * delta**2
-        if not (math.isfinite(v) and v > 0.0):
-            raise SingularEvaluation(f"value became {v} at ({p.z1}, {p.z2})")
-        values.append(v)
+    r1, r2 = _path_moduli(path)
+    num, den = kernel_num_den(spec, r1 * r1, r2 * r2)
+    delta = np.array([boundary_distance(spec, p) for p in path.samples])
+    with np.errstate(all="ignore"):
+        values = _positive_values(path, num / den * delta**2, "value")
     tail = values[-10:]
-    return DeltaRateReport(path, tuple(values), max(tail) / min(tail))
+    return DeltaRateReport(path, values, max(tail) / min(tail))
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,10 @@ def ramadanov_table(points, k_max: int) -> RamadanovTable:
     """Errors |B_k(p, p) - B_bidisc(p, p)| for k up to k_max, per point.
 
     Each point must lie in the punctured bidisc; its row starts at the
-    first k with |z1|^k < |z2|, after which membership holds for every
-    larger k (each evaluation checks it).
+    first k with |z1|^k < |z2|.  Membership is monotone in k (|z1| < 1), so
+    every larger k keeps the point inside and no evaluation checks it.
+    The diagonal values are the real parts of one ``kernel_values`` call
+    per exponent, on all points, with NaN before each point's start.
     """
     pts = tuple(points)
     if not pts:
@@ -323,19 +325,14 @@ def ramadanov_table(points, k_max: int) -> RamadanovTable:
         if k0 is None:
             raise ValueError(f"point ({p.z1}, {p.z2}) enters no fat triangle by k={k_max}")
         starts.append(k0)
-    exact = [bergman_reference(reference, p, p).value for p in pts]
+    k_start = np.array(starts)
+    z1, z2 = np.array([(p.z1, p.z2) for p in pts]).T
+    s, t = pair_invariants(z1, z2, z1, z2)
+    exact = kernel_values(reference, s, t)[0].real
+    ks = range(1, k_max + 1)
     rows = []
-    maxima = []
-    for k in range(1, k_max + 1):
-        row = []
-        for p, k0, e in zip(pts, starts, exact):
-            if k < k0:
-                row.append(math.nan)
-                continue
-            row.append(abs(bergman_fat(k, p, p).value - e))
-        rows.append(tuple(row))
-        finite = [e for e in row if not math.isnan(e)]
-        maxima.append(max(finite) if finite else math.nan)
-    return RamadanovTable(
-        pts, tuple(starts), tuple(range(1, k_max + 1)), tuple(rows), tuple(maxima)
-    )
+    for k in ks:
+        error = np.abs(kernel_values(DomainSpec.fat(k), s, t)[0].real - exact)
+        rows.append(tuple(np.where(k < k_start, np.nan, error).tolist()))
+    maxima = tuple(max((e for e in row if not math.isnan(e)), default=math.nan) for row in rows)
+    return RamadanovTable(pts, tuple(starts), tuple(ks), tuple(rows), maxima)

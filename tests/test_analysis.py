@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,8 +23,11 @@ from hartogs_bergman import (
     thin_nonvanishing,
     zero_locus_scan,
 )
-from hartogs_bergman.analysis import realizable_args
+from hartogs_bergman import acceptance, analysis
+from hartogs_bergman.analysis import RAMADANOV_POINTS, realizable_args
+from hartogs_bergman.cli import main
 from hartogs_bergman.domain import contains, sample_uniform_arrays
+from hartogs_bergman.kernels import KernelValue, bergman_reference, fat_quadratic
 from hartogs_bergman.polynomials import lin_coeff, quad_coeff
 
 FATS = [DomainSpec.fat(k) for k in range(1, 6)]
@@ -55,6 +60,21 @@ class TestWitnesses:
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
             lqk_witness(1)
+
+    def test_callers_judge_the_witness_numerator(self, monkeypatch, capsys):
+        # A numerator of 1e-10 is a zero at lqk --tol 1e-9 and not at the default
+        # 1e-12 or criterion 6's bound; the witness reports it and they decide.
+        monkeypatch.setattr(analysis, "bergman_fat",
+                            lambda k, z, w: KernelValue(0j, 1e-10 + 0j, 1.0 + 0j, False))
+        assert main(["lqk", "--kmax", "3", "--tol", "1e-9"]) == 0
+        capsys.readouterr()
+        assert main(["lqk", "--kmax", "3", "--tol", "1e-12"]) == 2
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [w["numerator_abs"] for w in results["witnesses"]] == [1e-10, 1e-10]
+        assert results["max_numerator_abs"] == 1e-10
+        result = acceptance.criterion_6_kernel_zeros()
+        assert not result.passed
+        assert result.details.startswith("max witness numerator 1.000e-10;")
 
 
 class TestThinNonvanishing:
@@ -140,6 +160,21 @@ class TestZeroScan:
         best = min(hits, key=lambda c: abs(c.t + 0.5))
         assert cmath.phase(best.t) == pytest.approx(math.pi, abs=0.02)
         assert best.realizable
+
+    def test_circle_cells_match_a_scan_per_s(self):
+        # The per-s loop the grid scan replaced, as the reference: same cells,
+        # same order, same bits.
+        scan = zero_locus_scan(2, s_points=21, t_abs=0.7, t_points=256, tol=0.3)
+        t_circle = 0.7 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+        want = []
+        for s in np.linspace(-1.0, 1.0, 23)[1:-1].tolist():
+            a, b, c = fat_quadratic(2, s)
+            num = (a * t_circle + b) * t_circle + c
+            scale = np.maximum(np.abs(a * t_circle**2), np.maximum(np.abs(b * t_circle), abs(c)))
+            for idx in np.nonzero(np.abs(num) < 0.3 * np.maximum(scale, 1e-300))[0]:
+                want.append((s, complex(t_circle[idx]), float(abs(num[idx]))))
+        assert len(want) > 300
+        assert [(c.s, c.t, c.numerator_abs) for c in scan.cells] == want
 
     def test_realizability_predicate(self):
         assert realizable_args(3, 0.0, -0.5)
@@ -248,3 +283,39 @@ class TestRamadanov:
     def test_rejects_outside_points(self):
         with pytest.raises(ValueError):
             ramadanov_table([Point2C(0.5, 0.0)], 10)
+
+    def test_rows_equal_the_one_pair_wrappers(self):
+        # Each error is the one-pair kernels' diagonal difference, bit for bit,
+        # for points with complex components and with a late start too.
+        pts = (*RAMADANOV_POINTS, Point2C(0.3j - 0.1, 0.9 + 0.1j), Point2C(0.7, 0.5))
+        table = ramadanov_table(pts, 25)
+        reference = DomainSpec.punctured_bidisc()
+        for k, row in zip(table.ks, table.errors):
+            for p, k0, got in zip(pts, table.k_start, row):
+                if k < k0:
+                    assert math.isnan(got)
+                    continue
+                exact = bergman_reference(reference, p, p).value.real
+                assert got == abs(bergman_fat(k, p, p).value.real - exact)
+
+
+def test_path_reports_ramadanov_and_zero_scan_evaluate_on_arrays(monkeypatch):
+    # Each kernel call analysis makes for these reports takes arrays of
+    # arguments, and none goes through the one-pair wrapper.
+    def arrays_only(name):
+        real = getattr(analysis, name)
+
+        def guarded(*args):
+            assert all(isinstance(x, np.ndarray) for x in args[1:3]), f"{name} got a scalar"
+            return real(*args)
+
+        return guarded
+
+    for name in ("kernel_factors", "kernel_num_den", "fat_quadratic"):
+        monkeypatch.setattr(analysis, name, arrays_only(name))
+    monkeypatch.setattr(analysis, "bergman_fat", None)
+    assert acceptance.criterion_9_boundary_asymptotics().passed
+    assert ramadanov_table(RAMADANOV_POINTS, 25).max_errors[-1] < 0.1
+    assert zero_locus_scan(3, s_points=3, t_abs=0.5, t_points=1024, tol=1e-4).cells
+    for spec in (DomainSpec.fat(1), DomainSpec.fat(2), DomainSpec.thin(2), DomainSpec.thin(3)):
+        assert delta_rate(spec, boundary_paths(spec, PathKind.ORIGIN)).tail_quotient <= 10.0

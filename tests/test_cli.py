@@ -370,6 +370,18 @@ class TestCsvCommands:
         assert out == ""
         assert err.startswith("hartogs-bergman asymptotics: error: step 47 of the origin path")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--spec", "thin:27"), "ratio became nan at (0j, (9.5367431640625e-07+0j))"),
+        (("--spec", "thin:7", "--compare", "delta", "--steps", "40"),
+         "value became inf at (0j, (1.8189894035458565e-12+0j))"),
+    ])
+    def test_asymptotics_underflowed_denominator_exits_two(self, capsys, argv, message):
+        # On these origin paths the kernel's denominator underflows to 0.
+        code, out, err = run(capsys, "asymptotics", "--path", "origin", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"hartogs-bergman asymptotics: error: {message}\n"
+
     def test_ramadanov_csv(self, capsys):
         code, out, _ = run(capsys, "ramadanov", "--kmax", "5")
         lines = out.strip().splitlines()
